@@ -23,12 +23,13 @@ from . import rom as rom_mod
 from . import samples
 from .config import build_model, load_run_config, parse_point
 from .errors import DatasetError, ParseError, ReductionError
-from .funcspace import FunctionVector, inner_product
+from .funcspace import FunctionVector
 from .h2 import (
     FrequencyQuadrature,
     h2_error,
     h2_norm_report,
     hs_norm,
+    interpolation_residuals,
     optimality_residuals,
 )
 from .irka import IrkaConfig
@@ -123,25 +124,16 @@ def cmd_validate(args) -> int:
     qs = [fv_from_json(o, f"provenance.left_dirs[{i}]", cache)
           for i, o in enumerate(prov["left_dirs"])]
     coincidence_tol = float(prov.get("coincidence_tol", 1e-10))
-
-    checks = []
-    for s, p in zip(sigmas, ps):
-        want = model.apply_tf(s, p)
-        res = (rom.eval_tf(s, p) - want).norm() / want.norm()
-        checks.append({"kind": "right", "point": complex_to_pair(s), "residual": res})
-    for t, q in zip(rhos, qs):
-        want = model.apply_tf_adjoint(t, q)
-        res = (rom.eval_tf_adjoint(t, q) - want).norm() / want.norm()
-        checks.append({"kind": "left", "point": complex_to_pair(t), "residual": res})
-    for t, q in zip(rhos, qs):
-        for s, p in zip(sigmas, ps):
-            if abs(s - t) < coincidence_tol:
-                want = inner_product(model.apply_tf_derivative(s, p), q)
-                got = inner_product(rom.eval_tf_derivative(s, p), q)
-                checks.append({
-                    "kind": "hermite", "point": complex_to_pair(s),
-                    "residual": abs(got - want) / abs(want),
-                })
+    pairs = samples.coincident_pairs(sigmas, rhos, coincidence_tol)
+    right, left, herm = interpolation_residuals(model, rom, sigmas, ps, rhos, qs, pairs)
+    checks = (
+        [{"kind": "right", "point": complex_to_pair(s), "residual": float(res)}
+         for s, res in zip(sigmas, right)]
+        + [{"kind": "left", "point": complex_to_pair(t), "residual": float(res)}
+           for t, res in zip(rhos, left)]
+        + [{"kind": "hermite", "point": complex_to_pair(sigmas[j]), "residual": float(res)}
+           for (_, j), res in zip(pairs, herm)]
+    )
     worst = max(c["residual"] for c in checks)
     passed = worst <= tol
     report = _report_base(cfg)
@@ -362,9 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="run config JSON")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallelism cap (1 = fully reproducible; the "
-                            "current implementation is sequential either way)")
 
     p = sub.add_parser("sample", help="evaluate tangential data on the full model")
     common(p)

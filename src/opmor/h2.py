@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ReductionError, StabilityError
 from .funcspace import FunctionVector, inner_product
-from .models import PoleFactorModel
 from .rom import ReducedModel, is_stable, pole_residue
 
 DEFAULT_NODES = 256
@@ -61,41 +60,32 @@ class FrequencyQuadrature:
         return np.asarray(values) @ self.weights
 
 
-def _factor_grams(model: PoleFactorModel):
-    """(GU, GY) with GU[k,l] = <u_l, u_k>_U and GY[k,l] = <y_k, y_l>_Y,
-    cached on the model (the factors are immutable)."""
-    cached = getattr(model, "_h2_grams", None)
+def _port_grams(system):
+    """(GU, GY) with GU[k,l] = <u_l, u_k>_U and GY[k,l] = <y_k, y_l>_Y for
+    the rows u_k, y_k of the port arrays (B and C of a reduced model, the
+    factors of a pole-factor model), cached on the system (its ports are
+    immutable)."""
+    cached = getattr(system, "_h2_grams", None)
     if cached is None:
-        wu = model.con_grid.weights
-        wy = model.obs_grid.weights
-        U = model.input_factors
-        Y = model.output_factors
+        if isinstance(system, ReducedModel):
+            U, wu = system.B, system.u_grid.weights
+            Y, wy = system.C, system.y_grid.weights
+        else:
+            U, wu = system.input_factors, system.con_grid.weights
+            Y, wy = system.output_factors, system.obs_grid.weights
         cached = ((np.conj(U) * wu) @ U.T, (Y * wy) @ np.conj(Y).T)
-        model._h2_grams = cached
-    return cached
-
-
-def _rom_grams(rom: ReducedModel):
-    """(GB, GC) with GB[i,j] = <b_j, b_i>_U and GC[i,j] = <c_i, c_j>_Y."""
-    cached = getattr(rom, "_h2_grams", None)
-    if cached is None:
-        wu = rom.u_grid.weights
-        wy = rom.y_grid.weights
-        B = rom._b_vals
-        C = rom._c_vals
-        cached = ((np.conj(B) * wu) @ B.T, (C * wy) @ np.conj(C).T)
-        rom._h2_grams = cached
+        system._h2_grams = cached
     return cached
 
 
 def _hs_sq_factor(model, s):
-    GU, GY = _factor_grams(model)
+    GU, GY = _port_grams(model)
     alpha = 1.0 / (s - model.poles)
     return float(np.real(alpha @ ((GU * GY) @ np.conj(alpha))))
 
 
 def _hs_sq_rom(rom, s):
-    GB, GC = _rom_grams(rom)
+    GB, GC = _port_grams(rom)
     K = np.linalg.inv(rom._pencil(s))
     return float(np.real(np.sum((K @ GB @ K.conj().T) * GC)))
 
@@ -124,8 +114,8 @@ def _require_stable(system) -> None:
 
 def _h2_sq_closed(system) -> float:
     if isinstance(system, ReducedModel):
-        system = pole_residue(system).to_factor_model()
-    GU, GY = _factor_grams(system)
+        system = pole_residue(system)
+    GU, GY = _port_grams(system)
     lam = system.poles
     denom = -(lam[:, None] + np.conj(lam[None, :]))
     return float(np.real(np.sum(GU * GY / denom)))
@@ -220,10 +210,11 @@ def h2_error(full, rom: ReducedModel) -> float:
     if np.max(np.real(pr.poles)) >= 0:
         raise StabilityError("reduced model must be stable for the H2 error")
     gsq = _h2_sq_closed(full)
-    grsq = _h2_sq_closed(pr.to_factor_model())
+    grsq = _h2_sq_closed(pr)
     cross = 0.0 + 0.0j
-    for lam, b, c in zip(pr.poles, pr.b_dirs, pr.c_dirs):
-        cross += inner_product(c, full.apply_tf(-np.conj(lam), b))
+    for lam, b, c in zip(pr.poles, pr.input_factors, pr.output_factors):
+        value = full.apply_tf(-np.conj(lam), FunctionVector(pr.con_grid, b))
+        cross += inner_product(FunctionVector(pr.obs_grid, c), value)
     err = gsq - 2.0 * cross.real + grsq
     if err < 0:
         scale = max(gsq, grsq, 1.0)
@@ -248,8 +239,8 @@ def h2_error_quadrature(full, rom: ReducedModel,
     """
     _require_stable(full)
     _require_stable(rom)
-    GUb = (full.input_factors * full.con_grid.weights) @ np.conj(rom._b_vals).T
-    GYc = (np.conj(full.output_factors) * full.obs_grid.weights) @ rom._c_vals.T
+    GUb = (full.input_factors * full.con_grid.weights) @ np.conj(rom.B).T
+    GYc = (np.conj(full.output_factors) * full.obs_grid.weights) @ rom.C.T
     lam = full.poles
 
     def integral(rule):
@@ -281,25 +272,43 @@ class OptimalityReport:
         return float(max(self.eps_left.max(), self.eps_right.max(), self.eps_herm.max()))
 
 
+def _rel_gap(got: FunctionVector, want: FunctionVector) -> float:
+    return (got - want).norm() / want.norm()
+
+
+def interpolation_residuals(full, rom: ReducedModel, sigmas, ps, rhos, qs, pairs):
+    """Relative residuals of the tangential interpolation conditions of rom
+    against full, each normalized by the full-model magnitude.
+
+    Returns three arrays: the transfer values G(sigma_j)[p_j], the adjoint
+    values G(rho_i)^+[q_i], and for each (i, j) in ``pairs`` the bilinear
+    derivative <dG/ds(sigma_j)[p_j], q_i>.
+    """
+    right = np.array([_rel_gap(rom.eval_tf(s, p), full.apply_tf(s, p))
+                      for s, p in zip(sigmas, ps)])
+    left = np.array([_rel_gap(rom.eval_tf_adjoint(t, q), full.apply_tf_adjoint(t, q))
+                     for t, q in zip(rhos, qs)])
+    herm = np.zeros(len(pairs))
+    for k, (i, j) in enumerate(pairs):
+        want = inner_product(full.apply_tf_derivative(sigmas[j], ps[j]), qs[i])
+        got = inner_product(rom.eval_tf_derivative(sigmas[j], ps[j]), qs[i])
+        herm[k] = abs(got - want) / abs(want)
+    return right, left, herm
+
+
 def optimality_residuals(full, rom: ReducedModel) -> OptimalityReport:
     """How far the reduced model is from stationarity of the squared H2
-    error: at each mirror point, compare transfer values along b_i, adjoint
-    values along c_i, and the bilinear derivative, each normalized by the
-    full-model magnitude."""
+    error: the interpolation residuals at the mirror points -conj(lam_i),
+    with transfer values along b_i, adjoint values along c_i, and the
+    bilinear derivative along the pair (b_i, c_i)."""
     _require_stable(full)
     pr = pole_residue(rom)
     if np.max(np.real(pr.poles)) >= 0:
         raise StabilityError("optimality conditions require a stable reduced model")
-    eps_left = np.zeros(pr.r)
-    eps_right = np.zeros(pr.r)
-    eps_herm = np.zeros(pr.r)
-    for i, (lam, b, c) in enumerate(zip(pr.poles, pr.b_dirs, pr.c_dirs)):
-        mirror = -np.conj(lam)
-        want = full.apply_tf(mirror, b)
-        eps_left[i] = (rom.eval_tf(mirror, b) - want).norm() / want.norm()
-        want = full.apply_tf_adjoint(mirror, c)
-        eps_right[i] = (rom.eval_tf_adjoint(mirror, c) - want).norm() / want.norm()
-        want_h = inner_product(full.apply_tf_derivative(mirror, b), c)
-        got_h = inner_product(rom.eval_tf_derivative(mirror, b), c)
-        eps_herm[i] = abs(got_h - want_h) / abs(want_h)
+    mirrors = -np.conj(pr.poles)
+    bs = [FunctionVector(pr.con_grid, b) for b in pr.input_factors]
+    cs = [FunctionVector(pr.obs_grid, c) for c in pr.output_factors]
+    pairs = [(i, i) for i in range(mirrors.size)]
+    eps_left, eps_right, eps_herm = interpolation_residuals(
+        full, rom, mirrors, bs, mirrors, cs, pairs)
     return OptimalityReport(pr.poles, eps_left, eps_right, eps_herm)

@@ -67,13 +67,13 @@ class ConvergenceReport:
     best_iteration: int = 0  # 1-based index of the returned iterate
 
 
-def _fix_phase(f: FunctionVector) -> np.ndarray:
-    """Values of f scaled to unit function-space norm with the
-    largest-magnitude entry rotated to the positive real axis; kills the
-    eigenvector phase ambiguity for determinism."""
-    v = f.values / f.norm()
-    pivot = v[np.argmax(np.abs(v))]
-    return v * (np.conj(pivot) / abs(pivot))
+def _fix_phase(rows, grid) -> np.ndarray:
+    """Node-value rows on ``grid``, each scaled to unit function-space norm
+    with its largest-magnitude entry rotated to the positive real axis; kills
+    the eigenvector phase ambiguity for determinism."""
+    v = rows / np.sqrt(np.sum(grid.weights * np.abs(rows) ** 2, axis=1))[:, None]
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)
+    return v * (np.conj(pivot) / np.abs(pivot))
 
 
 def _snap_conjugate(points, right_vals, left_vals):
@@ -116,8 +116,8 @@ def step(full, points, right_dirs, left_dirs, stability_reflection: bool = True)
         unstable = poles.real >= 0
         poles[unstable] = -np.conj(poles[unstable])
     mirrors = -np.conj(poles)
-    right_vals = [_fix_phase(b) for b in pr.b_dirs]
-    left_vals = [_fix_phase(c) for c in pr.c_dirs]
+    right_vals = _fix_phase(pr.input_factors, rom.u_grid)
+    left_vals = _fix_phase(pr.output_factors, rom.y_grid)
     next_points = _snap_conjugate(mirrors, right_vals, left_vals)
     next_right = [FunctionVector(rom.u_grid, v) for v in right_vals]
     next_left = [FunctionVector(rom.y_grid, v) for v in left_vals]
@@ -138,16 +138,10 @@ def _default_init(full, config: IrkaConfig):
         )
     slowest = np.min(np.abs(full.poles))
     points = [complex(s) for s in np.logspace(0.0, np.log10(10.0 * slowest), config.r)]
-    rights = [
-        FunctionVector(full.con_grid,
-                       _fix_phase(FunctionVector(full.con_grid, full.input_factors[i])))
-        for i in range(config.r)
-    ]
-    lefts = [
-        FunctionVector(full.obs_grid,
-                       _fix_phase(FunctionVector(full.obs_grid, full.output_factors[i])))
-        for i in range(config.r)
-    ]
+    rights = [FunctionVector(full.con_grid, v)
+              for v in _fix_phase(full.input_factors[:config.r], full.con_grid)]
+    lefts = [FunctionVector(full.obs_grid, v)
+             for v in _fix_phase(full.output_factors[:config.r], full.obs_grid)]
     return points, rights, lefts
 
 

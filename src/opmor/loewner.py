@@ -32,64 +32,39 @@ from .errors import ConditioningError
 from .funcspace import inner_product
 from .jsonio import complex_to_pair, fv_to_json
 from .rom import ReducedModel
-from .samples import TangentialDataset
+from .samples import TangentialDataset, to_json
 
 COND_LIMIT = 1e12
 COND_WARN = 1e8
 
 
-def _pairings(dataset: TangentialDataset):
-    """gq[i,j] = <G(sigma_j)[p_j], q_i>_Y and pg[i,j] = <p_j, G(rho_i)^+[q_i]>_U."""
-    r = dataset.r
-    gq = np.empty((r, r), dtype=np.complex128)
-    pg = np.empty((r, r), dtype=np.complex128)
-    for i, left in enumerate(dataset.lefts):
-        for j, right in enumerate(dataset.rights):
-            gq[i, j] = inner_product(right.value, left.q)
-            pg[i, j] = inner_product(right.p, left.value)
-    return gq, pg
-
-
 def _matrices(dataset: TangentialDataset):
     sig = dataset.sigmas
     rho = dataset.rhos
-    gq, pg = _pairings(dataset)
-    hm = dataset.hermite_map()
-    coincident = set(dataset.coincident_pairs())
-    r = dataset.r
-    E = np.empty((r, r), dtype=np.complex128)
-    A = np.empty((r, r), dtype=np.complex128)
-    for i in range(r):
-        for j in range(r):
-            if (i, j) in coincident:
-                h = hm[(i, j)]
-                E[i, j] = -h
-                A[i, j] = -(gq[i, j] + sig[j] * h)
-            else:
-                d = rho[i] - sig[j]
-                E[i, j] = -(pg[i, j] - gq[i, j]) / d
-                A[i, j] = -(rho[i] * pg[i, j] - sig[j] * gq[i, j]) / d
+    u_weights = dataset.rights[0].p.grid.weights
+    y_weights = dataset.rights[0].value.grid.weights
+    P = np.array([s.p.values for s in dataset.rights])
+    Rv = np.array([s.value.values for s in dataset.rights])
+    Q = np.array([s.q.values for s in dataset.lefts])
+    Lv = np.array([s.value.values for s in dataset.lefts])
+    # gq[i,j] = <Rv_j, q_i>_Y and pg[i,j] = <p_j, Lv_i>_U
+    gq = (np.conj(Q) * y_weights) @ Rv.T
+    pg = (np.conj(Lv) * u_weights) @ P.T
+    d = rho[:, None] - sig[None, :]
+    # coincident pairs divide by ~0 here; their entries are overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        E = -(pg - gq) / d
+        A = -(rho[:, None] * pg - sig[None, :] * gq) / d
+    for h in dataset.hermites:
+        E[h.i, h.j] = -h.value
+        A[h.i, h.j] = -(gq[h.i, h.j] + sig[h.j] * h.value)
     return E, A
 
 
 def dataset_hash(dataset: TangentialDataset) -> str:
-    """sha256 of the dataset's canonical JSON form."""
-    obj = {
-        "r": dataset.r,
-        "coincidence_tol": dataset.coincidence_tol,
-        "rights": [
-            {"sigma": complex_to_pair(s.sigma), "p": fv_to_json(s.p), "value": fv_to_json(s.value)}
-            for s in dataset.rights
-        ],
-        "lefts": [
-            {"rho": complex_to_pair(s.rho), "q": fv_to_json(s.q), "value": fv_to_json(s.value)}
-            for s in dataset.lefts
-        ],
-        "hermites": [
-            {"i": h.i, "j": h.j, "value": complex_to_pair(h.value)} for h in dataset.hermites
-        ],
-    }
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """sha256 of the dataset's canonical JSON form: the object samples.save
+    writes, encoded compactly with sorted keys."""
+    text = json.dumps(to_json(dataset), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -129,9 +104,13 @@ def assemble(dataset: TangentialDataset, cond_limit=COND_LIMIT,
         "right_dirs": [fv_to_json(s.p) for s in dataset.rights],
         "left_dirs": [fv_to_json(s.q) for s in dataset.lefts],
     }
-    b_rows = [s.value.copy() for s in dataset.lefts]
-    c_cols = [s.value.copy() for s in dataset.rights]
-    return ReducedModel(E, A, b_rows, c_cols, provenance)
+    return ReducedModel(
+        E, A,
+        np.array([s.value.values for s in dataset.lefts]),
+        np.array([s.value.values for s in dataset.rights]),
+        dataset.rights[0].p.grid, dataset.rights[0].value.grid,
+        provenance,
+    )
 
 
 @dataclass

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import __version__
 from .errors import ConditioningError
-from .funcspace import FunctionVector
 from .heat2d import FullModel
 from .jsonio import complex_to_pair
 from .rom import ReducedModel
@@ -125,8 +124,6 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix,
             f"projected E has condition estimate {cond:.3e} above limit {cond_limit:.1e}",
             cond_estimate=cond,
         )
-    b_vals = np.conj(W.coeffs) @ model.input_factors
-    c_vals = V.coeffs.T @ model.c_modes
     provenance = {
         "kind": "projection",
         "tool_version": __version__,
@@ -137,8 +134,10 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix,
     return ReducedModel(
         E,
         A,
-        [FunctionVector(model.con_grid, v) for v in b_vals],
-        [FunctionVector(model.obs_grid, v) for v in c_vals],
+        np.conj(W.coeffs) @ model.input_factors,
+        V.coeffs.T @ model.c_modes,
+        model.con_grid,
+        model.obs_grid,
         provenance,
     )
 

@@ -1,17 +1,17 @@
 """Reduced-order models: degree-r rational transfer functions between the
 same function spaces as the full model.
 
-A ReducedModel is the tuple (E, A, b_rows, c_cols): the input map sends p to
-the vector of pairings <p, b_i>_U, the pencil solve applies (sE - A)^{-1},
-and the output map combines the c_j. The pole-residue decomposition turns
-the pencil into r scalar poles with tangential directions, which drives
-stability checks, H2 formulas and exact time stepping.
+A ReducedModel is the tuple (E, A, B, C): the input map sends p to the
+vector of pairings <p, b_i>_U with the rows b_i of B, the pencil solve
+applies (sE - A)^{-1}, and the output map combines the rows c_j of C. The
+pole-residue decomposition turns the pencil into r scalar poles with
+tangential directions, which drives stability checks, H2 formulas and exact
+time stepping.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,46 +44,44 @@ SOLVE_RTOL = 1e-13
 class ReducedModel:
     """Petrov-Galerkin style reduced system with function-valued ports.
 
-    ``b_rows`` are the Riesz representers of the rows of the reduced input
-    map (so B_r[p]_i = <p, b_rows[i]>_U); ``c_cols`` are the images of the
-    reduced basis under the output map. ``provenance`` is a JSON-plain dict
-    recorded into the file format unchanged.
+    Row i of ``B`` holds the node values of the Riesz representer b_i of row
+    i of the reduced input map (so B_r[p]_i = <p, b_i>_U) on ``u_grid``; row j
+    of ``C`` holds the image c_j of reduced basis vector j under the output
+    map on ``y_grid``. ``provenance`` is a JSON-plain dict recorded into the
+    file format unchanged.
     """
 
-    def __init__(self, E, A, b_rows, c_cols, provenance=None):
+    def __init__(self, E, A, B, C, u_grid, y_grid, provenance=None):
         E = np.array(E, dtype=np.complex128)
         A = np.array(A, dtype=np.complex128)
         if E.ndim != 2 or E.shape[0] != E.shape[1] or E.shape != A.shape:
             raise ValueError(f"E and A must be square matrices of equal size, got {E.shape} and {A.shape}")
         r = E.shape[0]
-        if len(b_rows) != r or len(c_cols) != r:
-            raise ValueError(f"need {r} input representers and {r} output columns")
-        u_grid = b_rows[0].grid
-        y_grid = c_cols[0].grid
-        if any(b.grid != u_grid for b in b_rows):
-            raise GridMismatchError("input representers live on different grids")
-        if any(c.grid != y_grid for c in c_cols):
-            raise GridMismatchError("output columns live on different grids")
+        B = np.array(B, dtype=np.complex128)
+        C = np.array(C, dtype=np.complex128)
+        if B.shape != (r, u_grid.size) or C.shape != (r, y_grid.size):
+            raise ValueError(
+                f"need {r} input representers on {u_grid.size} nodes and {r} output "
+                f"columns on {y_grid.size} nodes, got shapes {B.shape} and {C.shape}"
+            )
         e_cond = float(np.linalg.cond(E))
         if not np.isfinite(e_cond):
             raise ConditioningError("E is singular", cond_estimate=e_cond)
         self.E = E
         self.A = A
         self.r = r
-        self.b_rows = list(b_rows)
-        self.c_cols = list(c_cols)
+        self.B = B
+        self.C = C
         self.u_grid = u_grid
         self.y_grid = y_grid
         self.e_cond = e_cond
         self.provenance = dict(provenance or {})
-        self._b_vals = np.array([b.values for b in b_rows])
-        self._c_vals = np.array([c.values for c in c_cols])
         # weight-folded pairing rows for the input and output maps
-        self._b_pair = np.conj(self._b_vals) * u_grid.weights
-        self._c_pair = np.conj(self._c_vals) * y_grid.weights
+        self._b_pair = np.conj(B) * u_grid.weights
+        self._c_pair = np.conj(C) * y_grid.weights
         self._e_norm = float(np.linalg.norm(E, 2))
         self._a_norm = float(np.linalg.norm(A, 2))
-        for arr in (self.E, self.A, self._b_vals, self._c_vals, self._b_pair, self._c_pair):
+        for arr in (self.E, self.A, self.B, self.C, self._b_pair, self._c_pair):
             arr.setflags(write=False)
 
     def _pencil(self, s):
@@ -108,7 +106,7 @@ class ReducedModel:
     def eval_tf(self, s, p: FunctionVector) -> FunctionVector:
         """G_r(s)[p] = C_r (sE - A)^{-1} B_r[p]."""
         x = np.linalg.solve(self._pencil(s), self._input(p))
-        return FunctionVector(self.y_grid, self._c_vals.T @ x)
+        return FunctionVector(self.y_grid, self.C.T @ x)
 
     def eval_tf_adjoint(self, s, q: FunctionVector) -> FunctionVector:
         """G_r(s)^+[q], satisfying <eval_tf(s,p), q> = <p, eval_tf_adjoint(s,q)>."""
@@ -118,48 +116,28 @@ class ReducedModel:
             )
         M = self._pencil(s)
         w = np.linalg.solve(M.conj().T, self._c_pair @ q.values)
-        return FunctionVector(self.u_grid, self._b_vals.T @ w)
+        return FunctionVector(self.u_grid, self.B.T @ w)
 
     def eval_tf_derivative(self, s, p: FunctionVector) -> FunctionVector:
         """d/ds G_r(s)[p] = -C_r (sE-A)^{-1} E (sE-A)^{-1} B_r[p]."""
         M = self._pencil(s)
         x = np.linalg.solve(M, self._input(p))
-        return FunctionVector(self.y_grid, -self._c_vals.T @ np.linalg.solve(M, self.E @ x))
+        return FunctionVector(self.y_grid, -self.C.T @ np.linalg.solve(M, self.E @ x))
 
     def __repr__(self):
         return f"ReducedModel(r={self.r}, cond_E={self.e_cond:.2e})"
 
 
-@dataclass
-class PoleResidue:
-    """Diagonalized form G_r(s) = sum_i <., b_dirs[i]> c_dirs[i] / (s - poles[i])."""
-
-    poles: np.ndarray
-    b_dirs: list
-    c_dirs: list
-
-    @property
-    def r(self) -> int:
-        return self.poles.size
-
-    def to_factor_model(self, pole_tol=0.0) -> PoleFactorModel:
-        return PoleFactorModel(
-            self.b_dirs[0].grid,
-            self.c_dirs[0].grid,
-            self.poles,
-            np.array([b.values for b in self.b_dirs]),
-            np.array([c.values for c in self.c_dirs]),
-            pole_tol=pole_tol,
-        )
-
-
-def pole_residue(rom: ReducedModel) -> PoleResidue:
+def pole_residue(rom: ReducedModel) -> PoleFactorModel:
     """Diagonalize the pencil (A, E) into poles and tangential residues.
 
     Solves against E to reduce to a standard eigenproblem (E's conditioning
     is policed at assembly), then normalizes left/right eigenvectors so
-    y_i^* E x_j = delta_ij. Raises SemiSimplicityError when eigenvalues
-    cluster tighter than the separation tolerance.
+    y_i^* E x_j = delta_ij. The result is the same transfer function as a
+    PoleFactorModel, G_r(s) = sum_i <., b_i> c_i / (s - poles[i]), with the
+    b_i and c_i as its input and output factors and no pole tolerance.
+    Raises SemiSimplicityError when eigenvalues cluster tighter than the
+    separation tolerance.
     """
     vals, X = np.linalg.eig(np.linalg.solve(rom.E, rom.A))
     order = np.lexsort((vals.imag, vals.real))
@@ -177,11 +155,8 @@ def pole_residue(rom: ReducedModel) -> PoleResidue:
             )
     # rows of (E X)^{-1} are left eigenvectors with y_i^* E x_j = delta_ij
     YH = np.linalg.inv(rom.E @ X)
-    b_vals = np.conj(YH) @ rom._b_vals
-    c_vals = (rom._c_vals.T @ X).T
-    b_dirs = [FunctionVector(rom.u_grid, v) for v in b_vals]
-    c_dirs = [FunctionVector(rom.y_grid, v) for v in c_vals]
-    return PoleResidue(vals, b_dirs, c_dirs)
+    return PoleFactorModel(rom.u_grid, rom.y_grid, vals,
+                           np.conj(YH) @ rom.B, X.T @ rom.C, pole_tol=0.0)
 
 
 def is_stable(rom: ReducedModel):
@@ -200,7 +175,7 @@ def simulate(rom: ReducedModel, u, T, dt):
             "reduced model is unstable; simulation proceeds but may diverge",
             stacklevel=2,
         )
-    return pr.to_factor_model().simulate(u, T, dt)
+    return pr.simulate(u, T, dt)
 
 
 def save(rom: ReducedModel, path):
@@ -208,11 +183,21 @@ def save(rom: ReducedModel, path):
         "r": rom.r,
         "E": cmatrix_to_json(rom.E),
         "A": cmatrix_to_json(rom.A),
-        "b_rows": [fv_to_json(b) for b in rom.b_rows],
-        "c_cols": [fv_to_json(c) for c in rom.c_cols],
+        "b_rows": [fv_to_json(FunctionVector(rom.u_grid, b)) for b in rom.B],
+        "c_cols": [fv_to_json(FunctionVector(rom.y_grid, c)) for c in rom.C],
         "provenance": rom.provenance,
     }
     dump_json(obj, path)
+
+
+def _stacked(objs, where, cache):
+    """(rows, grid): the node values of a serialized function family stacked
+    into one array, and the single grid they all live on."""
+    fvs = [fv_from_json(o, f"{where}[{k}]", cache) for k, o in enumerate(objs)]
+    grids = {f.grid for f in fvs}
+    if len(grids) != 1:
+        raise ParseError(f"expected function vectors on one grid at {where}, found {len(grids)} grids")
+    return np.array([f.values for f in fvs]), grids.pop()
 
 
 def load(path) -> ReducedModel:
@@ -221,8 +206,8 @@ def load(path) -> ReducedModel:
     try:
         E = cmatrix_from_json(obj["E"], "E")
         A = cmatrix_from_json(obj["A"], "A")
-        b_rows = [fv_from_json(b, f"b_rows[{i}]", cache) for i, b in enumerate(obj["b_rows"])]
-        c_cols = [fv_from_json(c, f"c_cols[{j}]", cache) for j, c in enumerate(obj["c_cols"])]
+        B, u_grid = _stacked(obj["b_rows"], "b_rows", cache)
+        C, y_grid = _stacked(obj["c_cols"], "c_cols", cache)
         declared_r = int(obj["r"])
         provenance = obj.get("provenance", {})
     except (KeyError, TypeError) as e:
@@ -231,4 +216,4 @@ def load(path) -> ReducedModel:
         raise ParseError(
             f"{path}: declared order r={declared_r} but E has shape {E.shape}"
         )
-    return ReducedModel(E, A, b_rows, c_cols, provenance)
+    return ReducedModel(E, A, B, C, u_grid, y_grid, provenance)

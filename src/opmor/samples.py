@@ -57,6 +57,13 @@ class HermiteSample:
     value: complex
 
 
+def coincident_pairs(sigmas, rhos, tol):
+    """All (i, j) with |sigma_j - rho_i| < tol, ordered by i, then j."""
+    gaps = np.abs(np.asarray(sigmas, dtype=np.complex128)[None, :]
+                  - np.asarray(rhos, dtype=np.complex128)[:, None])
+    return [(int(i), int(j)) for i, j in np.argwhere(gaps < tol)]
+
+
 @dataclass
 class TangentialDataset:
     rights: list
@@ -75,19 +82,6 @@ class TangentialDataset:
     @property
     def rhos(self):
         return np.array([s.rho for s in self.lefts], dtype=np.complex128)
-
-    def hermite_map(self):
-        return {(h.i, h.j): h.value for h in self.hermites}
-
-    def coincident_pairs(self):
-        """All (i, j) with |sigma_j - rho_i| below the coincidence tolerance."""
-        sig, rho = self.sigmas, self.rhos
-        out = []
-        for i in range(len(rho)):
-            for j in range(len(sig)):
-                if abs(sig[j] - rho[i]) < self.coincidence_tol:
-                    out.append((i, j))
-        return out
 
     def validate(self):
         """Check the structural invariants; raises DatasetError on violation."""
@@ -112,7 +106,7 @@ class TangentialDataset:
                 raise DatasetError(f"left direction {i} is zero")
             if s.q.grid != y_grid or s.value.grid != u_grid:
                 raise DatasetError(f"left sample {i} lives on an inconsistent grid")
-        need = set(self.coincident_pairs())
+        need = set(coincident_pairs(self.sigmas, self.rhos, self.coincidence_tol))
         have = set()
         for h in self.hermites:
             if not (0 <= h.i < len(self.lefts) and 0 <= h.j < len(self.rights)):
@@ -144,7 +138,9 @@ def make_direction(spec, grid: QuadratureGrid) -> FunctionVector:
     if isinstance(spec, FunctionVector):
         return spec
     if not isinstance(spec, str):
-        raise ValueError(f"direction spec must be a string or FunctionVector, got {spec!r}")
+        raise ValueError(
+            f"direction spec must be a string or FunctionVector, got {type(spec).__name__}"
+        )
     if spec == "const":
         f = constant(grid)
         return f * (1.0 / f.norm())
@@ -238,27 +234,26 @@ def collect(model, sigmas, ps, rhos, qs,
     lefts = [
         LeftSample(complex(r), q, model.apply_tf_adjoint(r, q)) for r, q in zip(rhos, qs)
     ]
-    hermites = []
-    for i, rho in enumerate(rhos):
-        for j, sig in enumerate(sigmas):
-            gap = abs(complex(sig) - complex(rho))
-            if gap < coincidence_tol:
-                val = inner_product(model.apply_tf_derivative(sig, ps[j]), qs[i])
-                hermites.append(HermiteSample(i, j, val))
-            elif gap < NEAR_COINCIDENCE_WARN:
-                warnings.warn(
-                    f"points sigma_{j}={complex(sig)} and rho_{i}={complex(rho)} are "
-                    f"{gap:.2e} apart: nearly coincident data is ill-conditioned",
-                    stacklevel=2,
-                )
+    hermites = [
+        HermiteSample(i, j, inner_product(model.apply_tf_derivative(sigmas[j], ps[j]), qs[i]))
+        for i, j in coincident_pairs(sigmas, rhos, coincidence_tol)
+    ]
+    for i, j in coincident_pairs(sigmas, rhos, NEAR_COINCIDENCE_WARN):
+        sig, rho = complex(sigmas[j]), complex(rhos[i])
+        if abs(sig - rho) >= coincidence_tol:
+            warnings.warn(
+                f"points sigma_{j}={sig} and rho_{i}={rho} are {abs(sig - rho):.2e} "
+                "apart: nearly coincident data is ill-conditioned",
+                stacklevel=2,
+            )
     ds = TangentialDataset(rights, lefts, hermites, coincidence_tol)
     ds.validate()
     return ds
 
 
-def save(dataset: TangentialDataset, path):
-    dataset.validate()
-    obj = {
+def to_json(dataset: TangentialDataset) -> dict:
+    """The dataset as the JSON-plain object of the file format."""
+    return {
         "r": dataset.r,
         "coincidence_tol": dataset.coincidence_tol,
         "rights": [
@@ -282,7 +277,11 @@ def save(dataset: TangentialDataset, path):
             for h in dataset.hermites
         ],
     }
-    dump_json(obj, path)
+
+
+def save(dataset: TangentialDataset, path):
+    dataset.validate()
+    dump_json(to_json(dataset), path)
 
 
 def load(path) -> TangentialDataset:

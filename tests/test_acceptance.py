@@ -123,10 +123,8 @@ def test_criterion_2_data_driven_matches_projection(heat, acceptance_log):
         for got, want in (
             (rom_data.E, rom_proj.E),
             (rom_data.A, rom_proj.A),
-            (np.array([b.values for b in rom_data.b_rows]),
-             np.array([b.values for b in rom_proj.b_rows])),
-            (np.array([c.values for c in rom_data.c_cols]),
-             np.array([c.values for c in rom_proj.c_cols])),
+            (rom_data.B, rom_proj.B),
+            (rom_data.C, rom_proj.C),
         ):
             rels.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
         return max(rels)
@@ -228,24 +226,26 @@ def test_criterion_7_fixed_point_optimality(heat, irka_result, acceptance_log):
     worst_drop = 0.0
     all_stable = True
     for _ in range(50):
-        dlam = rng.standard_normal(pr.r) + 1j * rng.standard_normal(pr.r)
+        dlam = rng.standard_normal(pr.poles.size) + 1j * rng.standard_normal(pr.poles.size)
         dlam *= 1e-3 * np.abs(pr.poles) / np.abs(dlam)
         poles = pr.poles + dlam
         all_stable = all_stable and bool(np.all(poles.real < 0))
 
-        def jostle(dirs, grid):
+        def jostle(rows, grid):
             out = []
-            for d in dirs:
+            for d in rows:
+                d = FunctionVector(grid, d)
                 noise = FunctionVector(
                     grid,
                     rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size),
                 )
-                out.append(d + noise * (1e-3 * d.norm() / noise.norm()))
+                out.append((d + noise * (1e-3 * d.norm() / noise.norm())).values)
             return out
 
         perturbed = rom_mod.ReducedModel(
-            np.eye(pr.r), np.diag(poles),
-            jostle(pr.b_dirs, rom.u_grid), jostle(pr.c_dirs, rom.y_grid),
+            np.eye(pr.poles.size), np.diag(poles),
+            jostle(pr.input_factors, rom.u_grid), jostle(pr.output_factors, rom.y_grid),
+            rom.u_grid, rom.y_grid,
         )
         worst_drop = max(worst_drop, err_opt - h2_error(heat, perturbed))
     ok = (report.converged and report.iterations <= 50

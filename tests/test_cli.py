@@ -77,6 +77,29 @@ class TestPipeline:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_validate_report_lists_every_check(self, pipeline):
+        out = pipeline["dir"] / "validate.json"
+        assert main(["validate", "--config", pipeline["config"], "--rom", pipeline["rom"],
+                     "--tol", "1e-8", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["kind"] for c in checks] == ["right"] * 4 + ["left"] * 4 + ["hermite"] * 3
+        assert [c["point"] for c in checks] == [
+            [1.0, 0.0], [2.0, 0.0], [5.0, 1.0], [5.0, -1.0],
+            [1.0, 0.0], [2.5, 0.0], [5.0, 1.0], [5.0, -1.0],
+            [1.0, 0.0], [5.0, 1.0], [5.0, -1.0],
+        ]
+        assert all(c["residual"] <= 1e-8 for c in checks)
+
+    def test_mixed_grid_rom_is_bad_input(self, pipeline):
+        rom = json.loads(open(pipeline["rom"]).read())
+        order = rom["b_rows"][1]["quad_order"] + 1
+        rom["b_rows"][1].update(quad_order=order, values=[[1.0, 0.0]] * order**2)
+        bad = pipeline["dir"] / "rom_mixed.json"
+        bad.write_text(json.dumps(rom))
+        rc = main(["validate", "--config", pipeline["config"],
+                   "--rom", str(bad), "--tol", "1e-8"])
+        assert rc == 2
+
     def test_validate_needs_tangential_provenance(self, pipeline):
         rom = json.loads(open(pipeline["rom"]).read())
         rom["provenance"] = {"kind": "projection"}

@@ -235,7 +235,7 @@ class TestH2Error:
         assert err < 1e-10
 
     def test_rom_against_its_own_pole_residue_form(self, heat_rom):
-        full = pole_residue(heat_rom).to_factor_model()
+        full = pole_residue(heat_rom)
         assert h2_error(full, heat_rom) < 1e-10
 
     def test_matches_direct_quadrature(self, heat, heat_rom):

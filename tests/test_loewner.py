@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from opmor.funcspace import Patch, QuadratureGrid, constant, inner_product
 from opmor.heat2d import FullModel, ModalTruncation
 from opmor.loewner import assemble, condition_report, dataset_hash
 from opmor.models import RankOneModel
-from opmor.samples import TangentialDataset, collect
+from opmor.samples import TangentialDataset, collect, save
 
 
 def unit_const(grid):
@@ -185,8 +188,42 @@ class TestAssembleHeat:
         assert prov["cond_E"] == pytest.approx(1.0)
         assert len(prov["right_dirs"]) == 1
 
+    def test_entries_match_pairwise_divided_differences(self, heat):
+        # entry-by-entry reference for the matrix-product assembly; its sums
+        # run in another order, so agreement is to roundoff, not bitwise
+        sig = [1.0, 2.0, 5.0 + 1.0j, 5.0 - 1.0j]
+        rho = [1.0, 2.5, 5.0 + 1.0j, 5.0 - 1.0j]
+        ds = collect(heat, sig, ["mode:1,1", "mode:1,2", "mode:2,1", "mode:2,1"],
+                     rho, ["mode:1,1", "mode:2,2", "mode:1,3", "mode:1,3"])
+        rom = assemble(ds)
+        herm = {(h.i, h.j): h.value for h in ds.hermites}
+        assert len(herm) == 3
+        for i, left in enumerate(ds.lefts):
+            for j, right in enumerate(ds.rights):
+                gq = inner_product(right.value, left.q)
+                pg = inner_product(right.p, left.value)
+                if (i, j) in herm:
+                    e, a = -herm[i, j], -(gq + sig[j] * herm[i, j])
+                else:
+                    d = rho[i] - sig[j]
+                    e, a = -(pg - gq) / d, -(rho[i] * pg - sig[j] * gq) / d
+                assert abs(rom.E[i, j] - e) <= 1e-13 * np.abs(rom.E).max()
+                assert abs(rom.A[i, j] - a) <= 1e-13 * np.abs(rom.A).max()
+
     def test_dataset_hash_sensitivity(self, heat):
         a = collect(heat, [1.0], ["const"], [2.0], ["const"])
         b = collect(heat, [1.0 + 1e-9], ["const"], [2.0], ["const"])
         assert dataset_hash(a) == dataset_hash(a)
         assert dataset_hash(a) != dataset_hash(b)
+
+    def test_dataset_hash_is_sha256_of_saved_file(self, heat, tmp_path):
+        # the hash is defined on the file format: the compact, key-sorted
+        # re-encoding of what samples.save writes (hermite entries included)
+        ds = collect(heat, [1.0, 3.0], ["const", "mode:1,2"],
+                     [1.0, 2.0], ["const", "mode:2,1"])
+        assert len(ds.hermites) == 1
+        path = tmp_path / "data.json"
+        save(ds, path)
+        with open(path) as f:
+            text = json.dumps(json.load(f), sort_keys=True, separators=(",", ":"))
+        assert dataset_hash(ds) == hashlib.sha256(text.encode()).hexdigest()

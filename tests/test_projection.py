@@ -126,9 +126,11 @@ class TestProjectExplicit:
         np.testing.assert_allclose(explicit.E, direct.E, atol=1e-10 * scale)
         scale = np.abs(direct.A).max()
         np.testing.assert_allclose(explicit.A, direct.A, atol=1e-10 * scale)
-        for be, bd in zip(explicit.b_rows, direct.b_rows):
+        for be, bd in zip(explicit.B, direct.B):
+            be, bd = FunctionVector(explicit.u_grid, be), FunctionVector(direct.u_grid, bd)
             assert (be - bd).norm() < 1e-10 * bd.norm()
-        for ce, cd in zip(explicit.c_cols, direct.c_cols):
+        for ce, cd in zip(explicit.C, direct.C):
+            ce, cd = FunctionVector(explicit.y_grid, ce), FunctionVector(direct.y_grid, cd)
             assert (ce - cd).norm() < 1e-10 * cd.norm()
 
     def test_matches_data_driven_coincident(self, heat):

@@ -6,6 +6,7 @@ import pytest
 from opmor.errors import ParseError, SemiSimplicityError, SingularSolveError
 from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
 from opmor.heat2d import FullModel, ModalTruncation
+from opmor.jsonio import fv_to_json
 from opmor.loewner import assemble
 from opmor.models import RankOneModel
 from opmor.rom import ReducedModel, is_stable, load, pole_residue, save, simulate
@@ -29,7 +30,8 @@ def random_fv(grid, seed):
 
 def diag_rom(poles, b_dirs, c_dirs):
     r = len(poles)
-    return ReducedModel(np.eye(r), np.diag(poles), b_dirs, c_dirs)
+    return ReducedModel(np.eye(r), np.diag(poles), [b.values for b in b_dirs],
+                        [c.values for c in c_dirs], b_dirs[0].grid, c_dirs[0].grid)
 
 
 @pytest.fixture(scope="module")
@@ -113,13 +115,13 @@ class TestEvalTf:
         r = heat_rom.r
         M = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
         K = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        b_vals = np.array([b.values for b in heat_rom.b_rows])
-        c_vals = np.array([c.values for c in heat_rom.c_cols])
         twisted = ReducedModel(
             M @ heat_rom.E @ K,
             M @ heat_rom.A @ K,
-            [FunctionVector(heat_rom.u_grid, v) for v in np.conj(M) @ b_vals],
-            [FunctionVector(heat_rom.y_grid, v) for v in K.T @ c_vals],
+            np.conj(M) @ heat_rom.B,
+            K.T @ heat_rom.C,
+            heat_rom.u_grid,
+            heat_rom.y_grid,
         )
         p = random_fv(heat_rom.u_grid, 12)
         for k in range(10):
@@ -139,8 +141,8 @@ class TestPoleResidue:
         np.testing.assert_allclose(pr.poles, sorted(poles), rtol=1e-14)
         # sorted ascending by real part: order reversed vs input
         for k, idx in enumerate([2, 1, 0]):
-            np.testing.assert_allclose(pr.b_dirs[k].values, bs[idx].values, rtol=1e-12)
-            np.testing.assert_allclose(pr.c_dirs[k].values, cs[idx].values, rtol=1e-12)
+            np.testing.assert_allclose(pr.input_factors[k], bs[idx].values, rtol=1e-12)
+            np.testing.assert_allclose(pr.output_factors[k], cs[idx].values, rtol=1e-12)
 
     def test_toy_single_pole(self, toy, toy_rom):
         pr = pole_residue(toy_rom)
@@ -148,7 +150,8 @@ class TestPoleResidue:
         # residue pair recovers <., p> q
         f = random_fv(U_GRID, 5)
         want = inner_product(f, toy.p) * toy.q
-        got = inner_product(f, pr.b_dirs[0]) * pr.c_dirs[0]
+        got = (inner_product(f, FunctionVector(U_GRID, pr.input_factors[0]))
+               * FunctionVector(Y_GRID, pr.output_factors[0]))
         np.testing.assert_allclose(got.values, want.values, rtol=1e-11)
 
     def test_jordan_block_rejected(self):
@@ -156,8 +159,10 @@ class TestPoleResidue:
         rom = ReducedModel(
             np.eye(2),
             np.array([[lam, 1.0], [0.0, lam]]),
-            [random_fv(U_GRID, 1), random_fv(U_GRID, 2)],
-            [random_fv(Y_GRID, 3), random_fv(Y_GRID, 4)],
+            [random_fv(U_GRID, 1).values, random_fv(U_GRID, 2).values],
+            [random_fv(Y_GRID, 3).values, random_fv(Y_GRID, 4).values],
+            U_GRID,
+            Y_GRID,
         )
         with pytest.raises(SemiSimplicityError) as ei:
             pole_residue(rom)
@@ -165,14 +170,13 @@ class TestPoleResidue:
 
     def test_reconstruction_identity(self, heat_rom):
         pr = pole_residue(heat_rom)
-        assert pr.r == heat_rom.r  # degree bound: exactly r finite poles
-        factor = pr.to_factor_model()
+        assert pr.poles.size == heat_rom.r  # degree bound: exactly r finite poles
         rng = np.random.default_rng(6)
         p = random_fv(heat_rom.u_grid, 7)
         for _ in range(10):
             s = complex(rng.uniform(0.5, 6), rng.uniform(-4, 4))
             a = heat_rom.eval_tf(s, p)
-            b = factor.apply_tf(s, p)
+            b = pr.apply_tf(s, p)
             assert (a - b).norm() < 1e-9 * a.norm()
 
 
@@ -248,11 +252,9 @@ class TestSaveLoad:
         assert back.r == heat_rom.r
         np.testing.assert_array_equal(back.E, heat_rom.E)
         np.testing.assert_array_equal(back.A, heat_rom.A)
-        for a, b in zip(back.b_rows, heat_rom.b_rows):
-            assert np.array_equal(a.values, b.values)
-            assert a.grid == b.grid
-        for a, b in zip(back.c_cols, heat_rom.c_cols):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(back.B, heat_rom.B)
+        assert back.u_grid == heat_rom.u_grid
+        assert np.array_equal(back.C, heat_rom.C)
         assert back.provenance == heat_rom.provenance
 
     def test_declared_order_checked(self, toy_rom, tmp_path):
@@ -268,4 +270,15 @@ class TestSaveLoad:
         path = tmp_path / "rom.json"
         path.write_text("{not json")
         with pytest.raises(ParseError):
+            load(path)
+
+    @pytest.mark.parametrize("family", ["b_rows", "c_cols"])
+    def test_mixed_grids_rejected(self, heat_rom, tmp_path, family):
+        path = tmp_path / "rom.json"
+        save(heat_rom, path)
+        obj = json.loads(path.read_text())
+        grid = heat_rom.u_grid if family == "b_rows" else heat_rom.y_grid
+        obj[family][1] = fv_to_json(constant(QuadratureGrid(grid.patch, grid.order + 1)))
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match="one grid"):
             load(path)
