@@ -79,7 +79,7 @@ def cmd_sample(args) -> int:
         conjugate_close=bool(block.get("conjugate_close", False)),
     )
     samples.save(dataset, args.out)
-    log.info("wrote %d+%d samples to %s", len(dataset.rights), len(dataset.lefts), args.out)
+    log.info("wrote %d+%d samples to %s", dataset.sigmas.size, dataset.rhos.size, args.out)
     print(f"sampled r={dataset.r} tangential dataset -> {args.out}")
     return 0
 

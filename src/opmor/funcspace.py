@@ -166,8 +166,10 @@ def inner_product(f: FunctionVector, g: FunctionVector) -> complex:
     return complex(np.sum(f.grid.weights * f.values * np.conj(g.values)))
 
 
-def norm(f: FunctionVector) -> float:
-    return f.norm()
+def row_norms(rows, grid: QuadratureGrid):
+    """L2 norms of the functions whose node values on grid are the last axis
+    of rows."""
+    return np.sqrt(np.abs(rows) ** 2 @ grid.weights)
 
 
 def constant(grid: QuadratureGrid, value=1.0) -> FunctionVector:
@@ -184,17 +186,7 @@ def restrict_mode(n: int, m: int, grid: QuadratureGrid) -> FunctionVector:
         raise ValueError(f"mode indices must be >= 1, got ({n}, {m})")
     x = grid.nodes[:, 0]
     y = grid.nodes[:, 1]
-    vals = 2.0 * np.sin(n * np.pi * x) * np.sin(m * np.pi * y)
-    return FunctionVector(grid, vals)
-
-
-def mode_values(n: int, m: int, grid: QuadratureGrid) -> np.ndarray:
-    """Real node values of the (n, m) eigenfunction, without the vector wrapper."""
-    if n < 1 or m < 1:
-        raise ValueError(f"mode indices must be >= 1, got ({n}, {m})")
-    x = grid.nodes[:, 0]
-    y = grid.nodes[:, 1]
-    return 2.0 * np.sin(n * np.pi * x) * np.sin(m * np.pi * y)
+    return FunctionVector(grid, 2.0 * np.sin(n * np.pi * x) * np.sin(m * np.pi * y))
 
 
 def mode_patch_coefficient(p: FunctionVector, n: int, m: int) -> complex:
@@ -203,5 +195,5 @@ def mode_patch_coefficient(p: FunctionVector, n: int, m: int) -> complex:
     Since the mode is real this is just the weighted node sum of p times the
     mode over p's own patch.
     """
-    phi = mode_values(n, m, p.grid)
+    phi = restrict_mode(n, m, p.grid).values
     return complex(np.sum(p.grid.weights * p.values * phi))

@@ -260,7 +260,10 @@ def h2_error_quadrature(full, rom: ReducedModel,
 @dataclass
 class OptimalityReport:
     """Relative residuals of the tangential optimality conditions at the
-    mirror points -conj(lam_i), one triple per reduced pole."""
+    mirror points mu_i = -conj(lam_i), one triple per reduced pole:
+    ``eps_right[i]`` of the transfer value G(mu_i)[b_i], ``eps_left[i]`` of
+    the adjoint value G(mu_i)^+[c_i] and ``eps_herm[i]`` of the bilinear
+    derivative <dG/ds(mu_i)[b_i], c_i>."""
 
     poles: np.ndarray
     eps_left: np.ndarray
@@ -309,6 +312,6 @@ def optimality_residuals(full, rom: ReducedModel) -> OptimalityReport:
     bs = [FunctionVector(pr.con_grid, b) for b in pr.input_factors]
     cs = [FunctionVector(pr.obs_grid, c) for c in pr.output_factors]
     pairs = [(i, i) for i in range(mirrors.size)]
-    eps_left, eps_right, eps_herm = interpolation_residuals(
+    eps_right, eps_left, eps_herm = interpolation_residuals(
         full, rom, mirrors, bs, mirrors, cs, pairs)
     return OptimalityReport(pr.poles, eps_left, eps_right, eps_herm)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import QuadratureGrid, mode_values
+from .funcspace import QuadratureGrid, restrict_mode
 from .models import DEFAULT_POLE_TOL, PoleFactorModel
 
 
@@ -74,8 +74,8 @@ class FullModel(PoleFactorModel):
         modes = np.array([(n, m) for n in range(1, n_max + 1)
                           for m in range(1, n_max + 1)], dtype=int)
         eigs = np.array([eigenvalue(n, m) for n, m in modes])
-        phi_con = np.array([mode_values(n, m, con_grid) for n, m in modes])
-        phi_obs = np.array([mode_values(n, m, obs_grid) for n, m in modes])
+        phi_con = np.array([restrict_mode(n, m, con_grid).values for n, m in modes])
+        phi_obs = np.array([restrict_mode(n, m, obs_grid).values for n, m in modes])
         super().__init__(con_grid, obs_grid, eigs, phi_con, phi_obs, pole_tol)
         self.truncation = truncation
         self.modes = modes

@@ -96,6 +96,24 @@ def fv_from_json(obj, where="", grid_cache=None):
     return FunctionVector(grid, values)
 
 
+def family_to_json(rows, grid: QuadratureGrid):
+    """Serialized function vectors, one per row of node values on ``grid``."""
+    return [fv_to_json(FunctionVector(grid, row)) for row in rows]
+
+def family_from_json(objs, where, grid_cache=None, key=None):
+    """(rows, grid): the node values of a serialized function family stacked
+    into one array, and the single grid they all live on. With ``key``, the
+    vectors are the ``key`` fields of the objects in ``objs``."""
+    suffix = f".{key}" if key else ""
+    fvs = [fv_from_json(o[key] if key else o, f"{where}[{k}]{suffix}", grid_cache)
+           for k, o in enumerate(objs)]
+    grids = {f.grid for f in fvs}
+    if len(grids) != 1:
+        raise ParseError(f"expected function vectors on one grid at {where}[*]{suffix}, "
+                         f"found {len(grids)} grids")
+    return np.array([f.values for f in fvs]), grids.pop()
+
+
 def load_json(path):
     """Read a JSON file, turning syntax errors into ParseError with location."""
     try:

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConditioningError
-from .funcspace import inner_product
-from .jsonio import complex_to_pair, fv_to_json
+from .funcspace import row_norms
+from .jsonio import complex_to_pair, family_to_json
 from .rom import ReducedModel
 from .samples import TangentialDataset, to_json
 
@@ -41,23 +41,17 @@ COND_WARN = 1e8
 def _matrices(dataset: TangentialDataset):
     sig = dataset.sigmas
     rho = dataset.rhos
-    u_weights = dataset.rights[0].p.grid.weights
-    y_weights = dataset.rights[0].value.grid.weights
-    P = np.array([s.p.values for s in dataset.rights])
-    Rv = np.array([s.value.values for s in dataset.rights])
-    Q = np.array([s.q.values for s in dataset.lefts])
-    Lv = np.array([s.value.values for s in dataset.lefts])
     # gq[i,j] = <Rv_j, q_i>_Y and pg[i,j] = <p_j, Lv_i>_U
-    gq = (np.conj(Q) * y_weights) @ Rv.T
-    pg = (np.conj(Lv) * u_weights) @ P.T
+    gq = (np.conj(dataset.Q) * dataset.y_grid.weights) @ dataset.right_values.T
+    pg = (np.conj(dataset.left_values) * dataset.u_grid.weights) @ dataset.P.T
     d = rho[:, None] - sig[None, :]
     # coincident pairs divide by ~0 here; their entries are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         E = -(pg - gq) / d
         A = -(rho[:, None] * pg - sig[None, :] * gq) / d
-    for h in dataset.hermites:
-        E[h.i, h.j] = -h.value
-        A[h.i, h.j] = -(gq[h.i, h.j] + sig[h.j] * h.value)
+    for (i, j), h in dataset.hermites.items():
+        E[i, j] = -h
+        A[i, j] = -(gq[i, j] + sig[j] * h)
     return E, A
 
 
@@ -101,16 +95,11 @@ def assemble(dataset: TangentialDataset, cond_limit=COND_LIMIT,
         "cond_E": cond,
         "sigmas": [complex_to_pair(s) for s in dataset.sigmas],
         "rhos": [complex_to_pair(r) for r in dataset.rhos],
-        "right_dirs": [fv_to_json(s.p) for s in dataset.rights],
-        "left_dirs": [fv_to_json(s.q) for s in dataset.lefts],
+        "right_dirs": family_to_json(dataset.P, dataset.u_grid),
+        "left_dirs": family_to_json(dataset.Q, dataset.y_grid),
     }
-    return ReducedModel(
-        E, A,
-        np.array([s.value.values for s in dataset.lefts]),
-        np.array([s.value.values for s in dataset.rights]),
-        dataset.rights[0].p.grid, dataset.rights[0].value.grid,
-        provenance,
-    )
+    return ReducedModel(E, A, dataset.left_values, dataset.right_values,
+                        dataset.u_grid, dataset.y_grid, provenance)
 
 
 @dataclass
@@ -139,12 +128,10 @@ def _min_separation(points):
     return float(np.min(gaps))
 
 
-def _normalized_gram_det(dirs):
-    g = np.empty((len(dirs), len(dirs)), dtype=np.complex128)
-    for i, a in enumerate(dirs):
-        for j, b in enumerate(dirs):
-            g[i, j] = inner_product(a, b) / (a.norm() * b.norm())
-    return float(abs(np.linalg.det(g)))
+def _normalized_gram_det(rows, grid):
+    """|det| of the Gram matrix of the rows' functions scaled to unit norm."""
+    unit = rows / row_norms(rows, grid)[:, None]
+    return float(abs(np.linalg.det((unit * grid.weights) @ np.conj(unit).T)))
 
 
 def condition_report(dataset: TangentialDataset) -> ConditionReport:
@@ -161,6 +148,6 @@ def condition_report(dataset: TangentialDataset) -> ConditionReport:
         min_sigma_separation=_min_separation(sig),
         min_rho_separation=_min_separation(rho),
         min_cross_separation=float(np.min(cross)) if cross.size else np.inf,
-        right_gram_det=_normalized_gram_det([s.p for s in dataset.rights]),
-        left_gram_det=_normalized_gram_det([s.q for s in dataset.lefts]),
+        right_gram_det=_normalized_gram_det(dataset.P, dataset.u_grid),
+        left_gram_det=_normalized_gram_det(dataset.Q, dataset.y_grid),
     )

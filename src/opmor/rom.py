@@ -27,14 +27,18 @@ from .jsonio import (
     cmatrix_from_json,
     cmatrix_to_json,
     dump_json,
-    fv_from_json,
-    fv_to_json,
+    family_from_json,
+    family_to_json,
     load_json,
 )
 from .models import PoleFactorModel
 
 # relative eigenvalue separation below which a pencil is treated as defective
 POLE_SEPARATION_RTOL = 1e-8
+
+# poles whose real parts agree to this fraction of the largest |pole| (the
+# two members of a conjugate pair) are ordered by imaginary part
+POLE_ORDER_RTOL = 1e-8
 
 # s*E - A counts as singular when its smallest singular value drops below
 # this fraction of the pencil scale |s|*||E|| + ||A||
@@ -128,6 +132,16 @@ class ReducedModel:
         return f"ReducedModel(r={self.r}, cond_E={self.e_cond:.2e})"
 
 
+def _pole_order(vals):
+    """Indices sorting poles by ascending real part, with runs of real parts
+    that agree to POLE_ORDER_RTOL sorted by imaginary part, so a last-bit
+    change cannot swap the members of a conjugate pair."""
+    by_real = np.argsort(vals.real, kind="stable")
+    tol = POLE_ORDER_RTOL * max(np.max(np.abs(vals)), np.finfo(float).tiny)
+    run = np.concatenate(([0], np.cumsum(np.diff(vals.real[by_real]) > tol)))
+    return by_real[np.lexsort((vals.imag[by_real], run))]
+
+
 def pole_residue(rom: ReducedModel) -> PoleFactorModel:
     """Diagonalize the pencil (A, E) into poles and tangential residues.
 
@@ -140,7 +154,7 @@ def pole_residue(rom: ReducedModel) -> PoleFactorModel:
     separation tolerance.
     """
     vals, X = np.linalg.eig(np.linalg.solve(rom.E, rom.A))
-    order = np.lexsort((vals.imag, vals.real))
+    order = _pole_order(vals)
     vals = vals[order]
     X = X[:, order]
     if rom.r > 1:
@@ -183,21 +197,11 @@ def save(rom: ReducedModel, path):
         "r": rom.r,
         "E": cmatrix_to_json(rom.E),
         "A": cmatrix_to_json(rom.A),
-        "b_rows": [fv_to_json(FunctionVector(rom.u_grid, b)) for b in rom.B],
-        "c_cols": [fv_to_json(FunctionVector(rom.y_grid, c)) for c in rom.C],
+        "b_rows": family_to_json(rom.B, rom.u_grid),
+        "c_cols": family_to_json(rom.C, rom.y_grid),
         "provenance": rom.provenance,
     }
     dump_json(obj, path)
-
-
-def _stacked(objs, where, cache):
-    """(rows, grid): the node values of a serialized function family stacked
-    into one array, and the single grid they all live on."""
-    fvs = [fv_from_json(o, f"{where}[{k}]", cache) for k, o in enumerate(objs)]
-    grids = {f.grid for f in fvs}
-    if len(grids) != 1:
-        raise ParseError(f"expected function vectors on one grid at {where}, found {len(grids)} grids")
-    return np.array([f.values for f in fvs]), grids.pop()
 
 
 def load(path) -> ReducedModel:
@@ -206,8 +210,8 @@ def load(path) -> ReducedModel:
     try:
         E = cmatrix_from_json(obj["E"], "E")
         A = cmatrix_from_json(obj["A"], "A")
-        B, u_grid = _stacked(obj["b_rows"], "b_rows", cache)
-        C, y_grid = _stacked(obj["c_cols"], "c_cols", cache)
+        B, u_grid = family_from_json(obj["b_rows"], "b_rows", cache)
+        C, y_grid = family_from_json(obj["c_cols"], "c_cols", cache)
         declared_r = int(obj["r"])
         provenance = obj.get("provenance", {})
     except (KeyError, TypeError) as e:

@@ -15,46 +15,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetError, ParseError
-from .funcspace import FunctionVector, QuadratureGrid, constant, inner_product, restrict_mode
+from .funcspace import (
+    FunctionVector,
+    QuadratureGrid,
+    constant,
+    inner_product,
+    restrict_mode,
+    row_norms,
+)
 from .jsonio import (
     complex_to_pair,
     dump_json,
-    fv_from_json,
-    fv_to_json,
+    family_from_json,
+    family_to_json,
     load_json,
     pair_to_complex,
 )
 
 DEFAULT_COINCIDENCE_TOL = 1e-10
 NEAR_COINCIDENCE_WARN = 1e-6
-
-
-@dataclass
-class RightSample:
-    """Right tangential sample: value = G(sigma)[p], a Y-space vector."""
-
-    sigma: complex
-    p: FunctionVector
-    value: FunctionVector
-
-
-@dataclass
-class LeftSample:
-    """Left tangential sample: value = G(rho)^+[q], a U-space vector."""
-
-    rho: complex
-    q: FunctionVector
-    value: FunctionVector
-
-
-@dataclass
-class HermiteSample:
-    """Bilinear derivative sample <dG/ds(sigma_j)[p_j], q_i> for a coincident
-    pair; indices are 0-based into lefts (i) and rights (j)."""
-
-    i: int
-    j: int
-    value: complex
 
 
 def coincident_pairs(sigmas, rhos, tol):
@@ -66,63 +45,60 @@ def coincident_pairs(sigmas, rhos, tol):
 
 @dataclass
 class TangentialDataset:
-    rights: list
-    lefts: list
-    hermites: list = field(default_factory=list)
+    """Tangential data of order r as stacked node-value arrays.
+
+    Row j of ``P`` is p_j on ``u_grid`` and row j of ``right_values`` is
+    G(sigma_j)[p_j] on ``y_grid``; row i of ``Q`` is q_i on ``y_grid`` and
+    row i of ``left_values`` is G(rho_i)^+[q_i] on ``u_grid``. ``hermites``
+    maps each coincident pair (i, j) to its Hermite scalar.
+    """
+
+    sigmas: np.ndarray
+    rhos: np.ndarray
+    P: np.ndarray
+    right_values: np.ndarray
+    Q: np.ndarray
+    left_values: np.ndarray
+    u_grid: QuadratureGrid
+    y_grid: QuadratureGrid
+    hermites: dict = field(default_factory=dict)
     coincidence_tol: float = DEFAULT_COINCIDENCE_TOL
 
     @property
     def r(self) -> int:
-        return len(self.rights)
-
-    @property
-    def sigmas(self):
-        return np.array([s.sigma for s in self.rights], dtype=np.complex128)
-
-    @property
-    def rhos(self):
-        return np.array([s.rho for s in self.lefts], dtype=np.complex128)
+        return self.sigmas.size
 
     def validate(self):
         """Check the structural invariants; raises DatasetError on violation."""
-        if len(self.rights) == 0:
+        r, n_left = self.sigmas.size, self.rhos.size
+        if r == 0:
             raise DatasetError("dataset has no samples")
-        if len(self.rights) != len(self.lefts):
-            k = min(len(self.rights), len(self.lefts))
-            side = "left" if len(self.lefts) < len(self.rights) else "right"
+        if r != n_left:
+            side = "left" if n_left < r else "right"
             raise DatasetError(
-                f"sample count mismatch: {len(self.rights)} right vs "
-                f"{len(self.lefts)} left; {side} sample {k} is missing"
+                f"sample count mismatch: {r} right vs {n_left} left; "
+                f"{side} sample {min(r, n_left)} is missing"
             )
-        u_grid = self.rights[0].p.grid
-        y_grid = self.rights[0].value.grid
-        for j, s in enumerate(self.rights):
-            if s.p.norm() == 0:
-                raise DatasetError(f"right direction {j} is zero")
-            if s.p.grid != u_grid or s.value.grid != y_grid:
-                raise DatasetError(f"right sample {j} lives on an inconsistent grid")
-        for i, s in enumerate(self.lefts):
-            if s.q.norm() == 0:
-                raise DatasetError(f"left direction {i} is zero")
-            if s.q.grid != y_grid or s.value.grid != u_grid:
-                raise DatasetError(f"left sample {i} lives on an inconsistent grid")
+        for name, rows, grid in (("P", self.P, self.u_grid),
+                                 ("right_values", self.right_values, self.y_grid),
+                                 ("Q", self.Q, self.y_grid),
+                                 ("left_values", self.left_values, self.u_grid)):
+            if rows.shape != (r, grid.size):
+                raise DatasetError(f"{name} has shape {rows.shape}, expected {(r, grid.size)}")
+        for side, rows, grid in (("right", self.P, self.u_grid), ("left", self.Q, self.y_grid)):
+            zero = np.flatnonzero(row_norms(rows, grid) == 0)
+            if zero.size:
+                raise DatasetError(f"{side} direction {zero[0]} is zero")
         need = set(coincident_pairs(self.sigmas, self.rhos, self.coincidence_tol))
-        have = set()
-        for h in self.hermites:
-            if not (0 <= h.i < len(self.lefts) and 0 <= h.j < len(self.rights)):
-                raise DatasetError(f"hermite sample has out-of-range indices ({h.i}, {h.j})")
-            have.add((h.i, h.j))
-        if len(have) != len(self.hermites):
-            raise DatasetError("duplicate hermite entries")
-        missing = need - have
+        missing = sorted(need - set(self.hermites))
         if missing:
-            i, j = sorted(missing)[0]
+            i, j = missing[0]
             raise DatasetError(
                 f"coincident pair (left {i}, right {j}) has no hermite sample"
             )
-        spurious = have - need
+        spurious = sorted(set(self.hermites) - need)
         if spurious:
-            i, j = sorted(spurious)[0]
+            i, j = spurious[0]
             raise DatasetError(
                 f"hermite sample at (left {i}, right {j}) does not match any coincident pair"
             )
@@ -180,21 +156,16 @@ def is_conjugate_closed(dataset: TangentialDataset, rtol=1e-12) -> bool:
     """True when every sample has a conjugate partner with conjugated
     direction, so the dataset supports a real realization."""
 
-    def closed(points, dirs):
-        for s, d in zip(points, dirs):
-            scale = max(1.0, abs(s))
-            ok = any(
-                abs(t - np.conj(s)) < rtol * scale
-                and (e - d.conj()).norm() <= rtol * max(1.0, d.norm())
-                for t, e in zip(points, dirs)
-            )
-            if not ok:
-                return False
-        return True
+    def closed(points, dirs, grid):
+        # entry [k, l] asks whether sample l is the conjugate partner of sample k
+        near = (np.abs(points[None, :] - np.conj(points)[:, None])
+                < rtol * np.maximum(1.0, np.abs(points))[:, None])
+        gaps = row_norms(dirs[None, :, :] - np.conj(dirs)[:, None, :], grid)
+        match = gaps <= rtol * np.maximum(1.0, row_norms(dirs, grid))[:, None]
+        return bool(np.all(np.any(near & match, axis=1)))
 
-    return closed(dataset.sigmas, [s.p for s in dataset.rights]) and closed(
-        dataset.rhos, [s.q for s in dataset.lefts]
-    )
+    return (closed(dataset.sigmas, dataset.P, dataset.u_grid)
+            and closed(dataset.rhos, dataset.Q, dataset.y_grid))
 
 
 def collect(model, sigmas, ps, rhos, qs,
@@ -228,16 +199,12 @@ def collect(model, sigmas, ps, rhos, qs,
         if q.norm() == 0:
             raise ValueError(f"left direction {i} is zero")
 
-    rights = [
-        RightSample(complex(s), p, model.apply_tf(s, p)) for s, p in zip(sigmas, ps)
-    ]
-    lefts = [
-        LeftSample(complex(r), q, model.apply_tf_adjoint(r, q)) for r, q in zip(rhos, qs)
-    ]
-    hermites = [
-        HermiteSample(i, j, inner_product(model.apply_tf_derivative(sigmas[j], ps[j]), qs[i]))
+    right_values = np.array([model.apply_tf(s, p).values for s, p in zip(sigmas, ps)])
+    left_values = np.array([model.apply_tf_adjoint(t, q).values for t, q in zip(rhos, qs)])
+    hermites = {
+        (i, j): inner_product(model.apply_tf_derivative(sigmas[j], ps[j]), qs[i])
         for i, j in coincident_pairs(sigmas, rhos, coincidence_tol)
-    ]
+    }
     for i, j in coincident_pairs(sigmas, rhos, NEAR_COINCIDENCE_WARN):
         sig, rho = complex(sigmas[j]), complex(rhos[i])
         if abs(sig - rho) >= coincidence_tol:
@@ -246,35 +213,37 @@ def collect(model, sigmas, ps, rhos, qs,
                 "apart: nearly coincident data is ill-conditioned",
                 stacklevel=2,
             )
-    ds = TangentialDataset(rights, lefts, hermites, coincidence_tol)
+    ds = TangentialDataset(
+        np.array(sigmas, dtype=np.complex128), np.array(rhos, dtype=np.complex128),
+        np.array([p.values for p in ps]), right_values,
+        np.array([q.values for q in qs]), left_values,
+        model.con_grid, model.obs_grid, hermites, coincidence_tol,
+    )
     ds.validate()
     return ds
 
 
 def to_json(dataset: TangentialDataset) -> dict:
-    """The dataset as the JSON-plain object of the file format."""
+    """The dataset as the JSON-plain object of the file format, one entry
+    per sample."""
     return {
         "r": dataset.r,
         "coincidence_tol": dataset.coincidence_tol,
         "rights": [
-            {
-                "sigma": complex_to_pair(s.sigma),
-                "p": fv_to_json(s.p),
-                "value": fv_to_json(s.value),
-            }
-            for s in dataset.rights
+            {"sigma": complex_to_pair(s), "p": p, "value": v}
+            for s, p, v in zip(dataset.sigmas,
+                               family_to_json(dataset.P, dataset.u_grid),
+                               family_to_json(dataset.right_values, dataset.y_grid))
         ],
         "lefts": [
-            {
-                "rho": complex_to_pair(s.rho),
-                "q": fv_to_json(s.q),
-                "value": fv_to_json(s.value),
-            }
-            for s in dataset.lefts
+            {"rho": complex_to_pair(t), "q": q, "value": v}
+            for t, q, v in zip(dataset.rhos,
+                               family_to_json(dataset.Q, dataset.y_grid),
+                               family_to_json(dataset.left_values, dataset.u_grid))
         ],
         "hermites": [
-            {"i": h.i, "j": h.j, "value": complex_to_pair(h.value)}
-            for h in dataset.hermites
+            {"i": i, "j": j, "value": complex_to_pair(h)}
+            for (i, j), h in dataset.hermites.items()
         ],
     }
 
@@ -288,31 +257,32 @@ def load(path) -> TangentialDataset:
     obj = load_json(path)
     cache = {}
     try:
-        rights = [
-            RightSample(
-                pair_to_complex(s["sigma"], f"rights[{j}].sigma"),
-                fv_from_json(s["p"], f"rights[{j}].p", cache),
-                fv_from_json(s["value"], f"rights[{j}].value", cache),
-            )
-            for j, s in enumerate(obj["rights"])
-        ]
-        lefts = [
-            LeftSample(
-                pair_to_complex(s["rho"], f"lefts[{i}].rho"),
-                fv_from_json(s["q"], f"lefts[{i}].q", cache),
-                fv_from_json(s["value"], f"lefts[{i}].value", cache),
-            )
-            for i, s in enumerate(obj["lefts"])
-        ]
-        hermites = [
-            HermiteSample(int(h["i"]), int(h["j"]), pair_to_complex(h["value"], f"hermites[{k}].value"))
-            for k, h in enumerate(obj.get("hermites", []))
-        ]
+        rights, lefts = obj["rights"], obj["lefts"]
+        sigmas = np.array([pair_to_complex(s["sigma"], f"rights[{j}].sigma")
+                           for j, s in enumerate(rights)], dtype=np.complex128)
+        rhos = np.array([pair_to_complex(s["rho"], f"lefts[{i}].rho")
+                         for i, s in enumerate(lefts)], dtype=np.complex128)
+        P, u_grid = family_from_json(rights, "rights", cache, "p")
+        right_values, y_grid = family_from_json(rights, "rights", cache, "value")
+        Q, q_grid = family_from_json(lefts, "lefts", cache, "q")
+        left_values, lv_grid = family_from_json(lefts, "lefts", cache, "value")
+        hermites = {}
+        for k, h in enumerate(obj.get("hermites", [])):
+            key = (int(h["i"]), int(h["j"]))
+            if key in hermites:
+                raise ParseError(f"{path}: duplicate hermite entry at (left {key[0]}, right {key[1]})")
+            hermites[key] = pair_to_complex(h["value"], f"hermites[{k}].value")
         tol = float(obj.get("coincidence_tol", DEFAULT_COINCIDENCE_TOL))
         declared_r = int(obj["r"])
     except (KeyError, TypeError) as e:
         raise ParseError(f"{path}: missing or malformed field: {e}") from e
-    ds = TangentialDataset(rights, lefts, hermites, tol)
+    if q_grid != y_grid or lv_grid != u_grid:
+        raise ParseError(
+            f"{path}: left directions must live on the right values' grid and "
+            "left values on the right directions' grid"
+        )
+    ds = TangentialDataset(sigmas, rhos, P, right_values, Q, left_values,
+                           u_grid, y_grid, hermites, tol)
     if declared_r != ds.r:
         raise DatasetError(
             f"{path}: declared order r={declared_r} but found {ds.r} right samples"

@@ -95,14 +95,14 @@ def test_criterion_1_tangential_interpolation(heat, acceptance_log):
     ds = collect(heat, SIGMAS, RIGHT_DIRS, RHOS, LEFT_DIRS)
     rom = assemble(ds)
     worst_right = 0.0
-    for s, p in zip(SIGMAS, [rs.p for rs in ds.rights]):
+    for s, p in zip(SIGMAS, [FunctionVector(ds.u_grid, row) for row in ds.P]):
         want = heat.apply_tf(s, p)
         worst_right = max(worst_right, (rom.eval_tf(s, p) - want).norm() / want.norm())
     worst_left = 0.0
-    for t, q in zip(RHOS, [ls.q for ls in ds.lefts]):
+    for t, q in zip(RHOS, [FunctionVector(ds.y_grid, row) for row in ds.Q]):
         want = heat.apply_tf_adjoint(t, q)
         worst_left = max(worst_left, (rom.eval_tf_adjoint(t, q) - want).norm() / want.norm())
-    p0, q0 = ds.rights[0].p, ds.lefts[0].q
+    p0, q0 = FunctionVector(ds.u_grid, ds.P[0]), FunctionVector(ds.y_grid, ds.Q[0])
     want = inner_product(heat.apply_tf_derivative(SIGMAS[0], p0), q0)
     got = inner_product(rom.eval_tf_derivative(SIGMAS[0], p0), q0)
     hermite = abs(got - want) / abs(want)

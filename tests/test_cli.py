@@ -100,6 +100,28 @@ class TestPipeline:
                    "--rom", str(bad), "--tol", "1e-8"])
         assert rc == 2
 
+    @pytest.mark.parametrize("corrupt", [
+        "duplicate_hermite", "hermite_out_of_range", "one_left_on_other_grid",
+        "lefts_on_other_grid",
+    ])
+    def test_malformed_dataset_is_bad_input(self, pipeline, corrupt):
+        data = json.loads(open(pipeline["data"]).read())
+        hermites, lefts = data["hermites"], data["lefts"]
+        if corrupt == "duplicate_hermite":
+            hermites.append(dict(hermites[0]))
+        elif corrupt == "hermite_out_of_range":
+            hermites.append({"i": 5, "j": 0, "value": [1.0, 0.0]})
+        else:
+            order = lefts[0]["q"]["quad_order"] + 1
+            moved = lefts[:1] if corrupt == "one_left_on_other_grid" else lefts
+            for left in moved:
+                left["q"].update(quad_order=order, values=[[1.0, 0.0]] * order**2)
+        bad = pipeline["dir"] / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["reduce", "--config", pipeline["config"], "--data", str(bad),
+                   "--out", str(pipeline["dir"] / "rom_bad.json")])
+        assert rc == 2
+
     def test_validate_needs_tangential_provenance(self, pipeline):
         rom = json.loads(open(pipeline["rom"]).read())
         rom["provenance"] = {"kind": "projection"}

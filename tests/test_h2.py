@@ -269,3 +269,15 @@ class TestOptimalityResiduals:
         assert report.max_residual > 1e-2
         assert report.poles.size == heat_rom.r
         assert report.eps_left.size == report.eps_right.size == report.eps_herm.size == 2
+
+    def test_eps_right_is_the_transfer_residual(self, heat, heat_rom):
+        # eps_right[i] compares G_r(mu_i)[b_i] with G(mu_i)[b_i] at the mirror
+        # point mu_i = -conj(lam_i); the adjoint residual along c_i is eps_left
+        report = optimality_residuals(heat, heat_rom)
+        pr = pole_residue(heat_rom)
+        for k, lam in enumerate(pr.poles):
+            mu = -np.conj(lam)
+            b = FunctionVector(pr.con_grid, pr.input_factors[k])
+            want = heat.apply_tf(mu, b)
+            gap = (heat_rom.eval_tf(mu, b) - want).norm() / want.norm()
+            assert report.eps_right[k] == pytest.approx(gap, rel=1e-12)

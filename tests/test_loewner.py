@@ -5,11 +5,23 @@ import numpy as np
 import pytest
 
 from opmor.errors import ConditioningError, DatasetError
-from opmor.funcspace import Patch, QuadratureGrid, constant, inner_product
+from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
 from opmor.heat2d import FullModel, ModalTruncation
 from opmor.loewner import assemble, condition_report, dataset_hash
 from opmor.models import RankOneModel
 from opmor.samples import TangentialDataset, collect, save
+
+
+def _rights(ds):
+    """(p_j, G(sigma_j)[p_j]) per right sample, as function vectors."""
+    return [(FunctionVector(ds.u_grid, p), FunctionVector(ds.y_grid, v))
+            for p, v in zip(ds.P, ds.right_values)]
+
+
+def _lefts(ds):
+    """(q_i, G(rho_i)^+[q_i]) per left sample, as function vectors."""
+    return [(FunctionVector(ds.y_grid, q), FunctionVector(ds.u_grid, v))
+            for q, v in zip(ds.Q, ds.left_values)]
 
 
 def unit_const(grid):
@@ -62,7 +74,7 @@ class TestToyCoincident:
         # E = 1/4, A = -(1/2 + 1*(-1/4)) = -1/4
         ds = collect(toy, [1.0], [toy.p], [1.0], [toy.q])
         assert len(ds.hermites) == 1
-        assert ds.hermites[0].value == pytest.approx(-1 / 4, rel=1e-13)
+        assert ds.hermites[0, 0] == pytest.approx(-1 / 4, rel=1e-13)
         rom = assemble(ds)
         assert rom.E[0, 0] == pytest.approx(1 / 4, rel=1e-13)
         assert rom.A[0, 0] == pytest.approx(-1 / 4, rel=1e-13)
@@ -89,11 +101,12 @@ class TestAssembleHeat:
             ["mode:1,1", "const", "mode:2,1"],
         )
         rom = assemble(ds)
+        rights, lefts = _rights(ds), _lefts(ds)
         gq = np.array(
-            [[inner_product(r.value, l.q) for r in ds.rights] for l in ds.lefts]
+            [[inner_product(rv, q) for _, rv in rights] for q, _ in lefts]
         )
         pg = np.array(
-            [[inner_product(r.p, l.value) for r in ds.rights] for l in ds.lefts]
+            [[inner_product(p, lv) for p, _ in rights] for _, lv in lefts]
         )
         lhs = rom.A - np.diag(ds.rhos) @ rom.E
         np.testing.assert_allclose(lhs, -gq, rtol=1e-12, atol=1e-18)
@@ -109,12 +122,12 @@ class TestAssembleHeat:
             ["mode:1,1", "mode:1,2", "mode:2,1", "mode:2,2"],
         )
         rom = assemble(ds)
-        for j, right in enumerate(ds.rights):
-            got = rom.eval_tf(right.sigma, right.p)
-            assert (got - right.value).norm() < 1e-8 * right.value.norm()
-        for i, left in enumerate(ds.lefts):
-            got = rom.eval_tf_adjoint(left.rho, left.q)
-            assert (got - left.value).norm() < 1e-8 * left.value.norm()
+        for sigma, (p, value) in zip(ds.sigmas, _rights(ds)):
+            got = rom.eval_tf(sigma, p)
+            assert (got - value).norm() < 1e-8 * value.norm()
+        for rho, (q, value) in zip(ds.rhos, _lefts(ds)):
+            got = rom.eval_tf_adjoint(rho, q)
+            assert (got - value).norm() < 1e-8 * value.norm()
 
     def test_default_config_condition(self, heat):
         ds = collect(
@@ -139,7 +152,7 @@ class TestAssembleHeat:
     def test_unbalanced_dataset_rejected(self, heat):
         ds = collect(heat, [1.0, 2.0], ["const", "mode:1,1"], [3.0, 4.0],
                      ["const", "mode:1,1"])
-        ds.lefts.pop()
+        ds.rhos = ds.rhos[:-1]
         with pytest.raises(DatasetError):
             assemble(ds)
 
@@ -171,6 +184,20 @@ class TestAssembleHeat:
             with pytest.warns(UserWarning, match="condition estimate"):
                 assemble(ds)
 
+    def test_gram_det_matches_pairwise_inner_products(self, heat):
+        # the per-pair loop is the reference for the one-product Gram; sums
+        # run in another order, so they agree to eps times the Gram's cond
+        ds = collect(heat, [1.0, 2.0, 4.0], ["mode:1,1", "const", "random:3"],
+                     [1.5, 3.0, 5.0], ["mode:2,1", "const", "random:4"])
+        rep = condition_report(ds)
+        for det, rows, grid in ((rep.right_gram_det, ds.P, ds.u_grid),
+                                (rep.left_gram_det, ds.Q, ds.y_grid)):
+            dirs = [FunctionVector(grid, row) for row in rows]
+            g = np.array([[inner_product(a, b) / (a.norm() * b.norm()) for b in dirs]
+                          for a in dirs])
+            want = abs(np.linalg.det(g))
+            assert det == pytest.approx(want, rel=100 * np.finfo(float).eps * np.linalg.cond(g))
+
     def test_r1_condition_trivial(self, heat):
         ds = collect(heat, [1.0], ["const"], [2.0], ["const"])
         rep = condition_report(ds)
@@ -196,12 +223,12 @@ class TestAssembleHeat:
         ds = collect(heat, sig, ["mode:1,1", "mode:1,2", "mode:2,1", "mode:2,1"],
                      rho, ["mode:1,1", "mode:2,2", "mode:1,3", "mode:1,3"])
         rom = assemble(ds)
-        herm = {(h.i, h.j): h.value for h in ds.hermites}
+        herm = ds.hermites
         assert len(herm) == 3
-        for i, left in enumerate(ds.lefts):
-            for j, right in enumerate(ds.rights):
-                gq = inner_product(right.value, left.q)
-                pg = inner_product(right.p, left.value)
+        for i, (q, lv) in enumerate(_lefts(ds)):
+            for j, (p, rv) in enumerate(_rights(ds)):
+                gq = inner_product(rv, q)
+                pg = inner_product(p, lv)
                 if (i, j) in herm:
                     e, a = -herm[i, j], -(gq + sig[j] * herm[i, j])
                 else:

@@ -144,6 +144,16 @@ class TestPoleResidue:
             np.testing.assert_allclose(pr.input_factors[k], bs[idx].values, rtol=1e-12)
             np.testing.assert_allclose(pr.output_factors[k], cs[idx].values, rtol=1e-12)
 
+    def test_conjugate_pair_order_ignores_last_bit(self):
+        # the real parts of a conjugate pair agree only to roundoff; a 1-ulp
+        # shift on either member must not decide which one comes first
+        near = np.nextafter(-3.0, 0.0)
+        bs = [random_fv(U_GRID, 40 + k) for k in range(2)]
+        cs = [random_fv(Y_GRID, 50 + k) for k in range(2)]
+        for poles in ([-3.0 + 2j, near - 2j], [near + 2j, -3.0 - 2j]):
+            pr = pole_residue(diag_rom(poles, bs, cs))
+            assert list(pr.poles.imag) == [-2.0, 2.0]
+
     def test_toy_single_pole(self, toy, toy_rom):
         pr = pole_residue(toy_rom)
         assert pr.poles[0] == pytest.approx(-1.0, rel=1e-12)

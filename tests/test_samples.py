@@ -7,7 +7,6 @@ from opmor.errors import DatasetError, GridMismatchError, ParseError, PoleProxim
 from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
 from opmor.heat2d import FullModel, ModalTruncation, eigenvalue
 from opmor.samples import (
-    HermiteSample,
     TangentialDataset,
     collect,
     conjugate_closure,
@@ -59,23 +58,22 @@ class TestCollect:
         ds = collect(model, [1.0, 2.0], ["const", "mode:1,1"], [3.0, 4.0],
                      ["const", "mode:1,1"])
         assert ds.r == 2
-        assert ds.hermites == []
+        assert ds.hermites == {}
         # values are exactly the model evaluations
-        want = model.apply_tf(1.0, ds.rights[0].p)
-        np.testing.assert_array_equal(ds.rights[0].value.values, want.values)
-        want = model.apply_tf_adjoint(4.0, ds.lefts[1].q)
-        np.testing.assert_array_equal(ds.lefts[1].value.values, want.values)
+        want = model.apply_tf(1.0, FunctionVector(ds.u_grid, ds.P[0]))
+        np.testing.assert_array_equal(ds.right_values[0], want.values)
+        want = model.apply_tf_adjoint(4.0, FunctionVector(ds.y_grid, ds.Q[1]))
+        np.testing.assert_array_equal(ds.left_values[1], want.values)
 
     def test_coincident_pair_gets_hermite(self, model):
         ds = collect(model, [1.0, 5.0], ["const", "const"], [1.0, 7.0],
                      ["const", "const"])
-        assert len(ds.hermites) == 1
-        h = ds.hermites[0]
-        assert (h.i, h.j) == (0, 0)
+        assert list(ds.hermites) == [(0, 0)]
         want = inner_product(
-            model.apply_tf_derivative(1.0, ds.rights[0].p), ds.lefts[0].q
+            model.apply_tf_derivative(1.0, FunctionVector(ds.u_grid, ds.P[0])),
+            FunctionVector(ds.y_grid, ds.Q[0]),
         )
-        assert h.value == want
+        assert ds.hermites[0, 0] == want
 
     def test_zero_direction_rejected(self, model):
         z = constant(model.con_grid, 0.0)
@@ -89,7 +87,7 @@ class TestCollect:
     def test_near_coincidence_warns(self, model):
         with pytest.warns(UserWarning, match="nearly coincident"):
             ds = collect(model, [1.0 + 5e-8], ["const"], [1.0], ["const"])
-        assert ds.hermites == []
+        assert ds.hermites == {}
 
     def test_length_mismatch(self, model):
         with pytest.raises(ValueError):
@@ -139,18 +137,14 @@ class TestRoundTrip:
         back = load(path)
         assert back.r == ds.r
         assert back.coincidence_tol == ds.coincidence_tol
-        for a, b in zip(ds.rights, back.rights):
-            assert a.sigma == b.sigma
-            assert np.array_equal(a.p.values, b.p.values)
-            assert np.array_equal(a.value.values, b.value.values)
-            assert a.value.grid == b.value.grid
-        for a, b in zip(ds.lefts, back.lefts):
-            assert a.rho == b.rho
-            assert np.array_equal(a.q.values, b.q.values)
-            assert np.array_equal(a.value.values, b.value.values)
-        assert [(h.i, h.j, h.value) for h in back.hermites] == [
-            (h.i, h.j, h.value) for h in ds.hermites
-        ]
+        assert np.array_equal(ds.sigmas, back.sigmas)
+        assert np.array_equal(ds.P, back.P)
+        assert np.array_equal(ds.right_values, back.right_values)
+        assert ds.y_grid == back.y_grid
+        assert np.array_equal(ds.rhos, back.rhos)
+        assert np.array_equal(ds.Q, back.Q)
+        assert np.array_equal(ds.left_values, back.left_values)
+        assert list(back.hermites.items()) == list(ds.hermites.items())
 
     def test_save_is_deterministic(self, model, tmp_path):
         ds = collect(model, [1.0], ["const"], [2.0], ["const"])
@@ -197,7 +191,7 @@ class TestRoundTrip:
 
     def test_spurious_hermite_rejected(self, model):
         ds = collect(model, [1.0], ["const"], [2.0], ["const"])
-        ds.hermites.append(HermiteSample(0, 0, 1.0 + 0j))
+        ds.hermites[0, 0] = 1.0 + 0j
         with pytest.raises(DatasetError, match="does not match any coincident pair"):
             ds.validate()
 
@@ -213,8 +207,9 @@ class TestRoundTrip:
         path = tmp_path / "ds.json"
         save(ds, path)
         back = load(path)
-        assert back.rights[0].p.grid.order == 12
+        assert back.u_grid.order == 12
+        p0 = FunctionVector(back.u_grid, back.P[0])
         with pytest.raises(GridMismatchError):
-            model.apply_tf(1.0, back.rights[0].p)
+            model.apply_tf(1.0, p0)
         with pytest.raises(GridMismatchError):
-            inner_product(back.rights[0].p, constant(model.con_grid))
+            inner_product(p0, constant(model.con_grid))
