@@ -34,7 +34,7 @@ from .h2 import (
 )
 from .irka import IrkaConfig
 from .irka import run as irka_run
-from .jsonio import complex_to_pair, dump_json, fv_from_json
+from .jsonio import complex_to_pair, dump_json, family_from_json
 from .loewner import assemble
 
 log = logging.getLogger("opmor")
@@ -109,7 +109,7 @@ def cmd_validate(args) -> int:
     model = build_model(cfg.model_block)
     rom = rom_mod.load(args.rom)
     tol = args.tol if args.tol is not None else float(cfg.task("validate").get("tol", 1e-8))
-    prov = rom.provenance or {}
+    prov = rom.provenance
     needed = {"sigmas", "rhos", "right_dirs", "left_dirs"}
     if prov.get("kind") != "loewner" or not needed <= set(prov):
         raise ParseError(
@@ -119,10 +119,10 @@ def cmd_validate(args) -> int:
     cache = {}
     sigmas = [parse_point(s, "provenance.sigmas") for s in prov["sigmas"]]
     rhos = [parse_point(s, "provenance.rhos") for s in prov["rhos"]]
-    ps = [fv_from_json(o, f"provenance.right_dirs[{j}]", cache)
-          for j, o in enumerate(prov["right_dirs"])]
-    qs = [fv_from_json(o, f"provenance.left_dirs[{i}]", cache)
-          for i, o in enumerate(prov["left_dirs"])]
+    P, p_grid = family_from_json(prov["right_dirs"], "provenance.right_dirs", cache)
+    Q, q_grid = family_from_json(prov["left_dirs"], "provenance.left_dirs", cache)
+    ps = [FunctionVector(p_grid, v) for v in P]
+    qs = [FunctionVector(q_grid, v) for v in Q]
     coincidence_tol = float(prov.get("coincidence_tol", 1e-10))
     pairs = samples.coincident_pairs(sigmas, rhos, coincidence_tol)
     right, left, herm = interpolation_residuals(model, rom, sigmas, ps, rhos, qs, pairs)
@@ -178,10 +178,11 @@ def cmd_h2(args) -> int:
     if args.csv:
         header = "omega,hs_full" + (",hs_rom" if rom is not None else "")
         lines = [header]
+        rom_form = rom_mod.pole_residue(rom) if rom is not None else None
         for w in quad.omegas:
             row = [_fmt(w), _fmt(hs_norm(model, 1j * w))]
             if rom is not None:
-                row.append(_fmt(hs_norm(rom, 1j * w)))
+                row.append(_fmt(hs_norm(rom_form, 1j * w)))
             lines.append(",".join(row))
         _write_lines(args.csv, lines)
     print(f"h2 norm closed {norms.closed:.6e}, quadrature {norms.quadrature:.6e}"

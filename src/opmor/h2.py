@@ -1,21 +1,19 @@
 """Hardy-space (H2) norms, inner products, error functionals and the
 tangential optimality residuals.
 
-All quantities reduce to Gram matrices of the rank-1 factors. Writing a
-transfer function as G(s) = sum_k coeff_k(s) <., u_k> y_k, the squared
-Hilbert-Schmidt norm at a point s and the squared H2 norm are
+Every routine works on a pole-factor sum G(s) = sum_k <., u_k> y_k /
+(s - lam_k); a reduced model enters through its pole-residue form. The
+squared Hilbert-Schmidt norm at s and the squared H2 norm contract the
+factor Grams,
 
-    hs(s)^2   = sum_{k,l} coeff_k(s) conj(coeff_l(s)) <u_l,u_k> <y_k,y_l>,
+    hs(s)^2   = sum_{k,l} <u_l,u_k> <y_k,y_l> / ((s - lam_k) conj(s - lam_l)),
     ||G||^2   = sum_{k,l} <u_l,u_k> <y_k,y_l> / (-(lam_k + conj lam_l)),
 
 the latter by closing the frequency integral of each (k,l) term in the left
-half-plane. The same contractions cover reduced models with the coefficient
-matrix (sE - A)^{-1} in place of the diagonal resolvent, so no
-diagonalization is needed for point evaluations.
-
-The closed double series is the default for norms (deterministic, fast); the
-tangent-substitution frequency quadrature is kept as the independent
-cross-check and for profile output.
+half-plane. The H2 inner product with <., p> q / (s - lam) is one transfer
+evaluation at the mirror point -conj(lam), which gives the H2 error and the
+optimality conditions. The frequency quadrature is the independent
+cross-check; h2_error_quadrature solves with the reduced pencil instead.
 """
 
 from __future__ import annotations
@@ -26,7 +24,8 @@ import numpy as np
 
 from .errors import ReductionError, StabilityError
 from .funcspace import FunctionVector, inner_product
-from .rom import ReducedModel, is_stable, pole_residue
+from .models import PoleFactorModel
+from .rom import ReducedModel, pole_residue
 
 DEFAULT_NODES = 256
 MAX_NODES = 4096
@@ -60,21 +59,33 @@ class FrequencyQuadrature:
         return np.asarray(values) @ self.weights
 
 
-def _port_grams(system):
+def _factor_form(system) -> PoleFactorModel:
+    """The system as a pole-factor sum: a full model as it is, a reduced
+    model through its pole-residue form."""
+    return pole_residue(system) if isinstance(system, ReducedModel) else system
+
+
+def _stable_factor_form(system) -> PoleFactorModel:
+    """_factor_form, with every pole in the open left half-plane."""
+    model = _factor_form(system)
+    worst = float(np.max(model.poles.real))
+    if worst >= 0:
+        raise StabilityError(
+            f"model has a pole with Re = {worst:.3e} >= 0; the frequency integral diverges"
+        )
+    return model
+
+
+def _port_grams(model):
     """(GU, GY) with GU[k,l] = <u_l, u_k>_U and GY[k,l] = <y_k, y_l>_Y for
-    the rows u_k, y_k of the port arrays (B and C of a reduced model, the
-    factors of a pole-factor model), cached on the system (its ports are
-    immutable)."""
-    cached = getattr(system, "_h2_grams", None)
+    the input and output factors u_k, y_k, cached on the model (its factors
+    are immutable)."""
+    cached = getattr(model, "_h2_grams", None)
     if cached is None:
-        if isinstance(system, ReducedModel):
-            U, wu = system.B, system.u_grid.weights
-            Y, wy = system.C, system.y_grid.weights
-        else:
-            U, wu = system.input_factors, system.con_grid.weights
-            Y, wy = system.output_factors, system.obs_grid.weights
-        cached = ((np.conj(U) * wu) @ U.T, (Y * wy) @ np.conj(Y).T)
-        system._h2_grams = cached
+        U, Y = model.input_factors, model.output_factors
+        cached = ((np.conj(U) * model.con_grid.weights) @ U.T,
+                  (Y * model.obs_grid.weights) @ np.conj(Y).T)
+        model._h2_grams = cached
     return cached
 
 
@@ -84,48 +95,22 @@ def _hs_sq_factor(model, s):
     return float(np.real(alpha @ ((GU * GY) @ np.conj(alpha))))
 
 
-def _hs_sq_rom(rom, s):
-    GB, GC = _port_grams(rom)
-    K = np.linalg.inv(rom._pencil(s))
-    return float(np.real(np.sum((K @ GB @ K.conj().T) * GC)))
-
-
 def hs_norm(system, s) -> float:
     """Hilbert-Schmidt norm of the transfer operator at a point s off the
-    spectrum (full models) or off the reduced poles (reduced models)."""
-    s = complex(s)
-    if isinstance(system, ReducedModel):
-        return np.sqrt(_hs_sq_rom(system, s))
-    system._check_point(s)
-    return np.sqrt(_hs_sq_factor(system, s))
+    poles."""
+    model = _factor_form(system)
+    return np.sqrt(_hs_sq_factor(model, model._check_point(s)))
 
 
-def _require_stable(system) -> None:
-    if isinstance(system, ReducedModel):
-        stable, margin = is_stable(system)
-        if not stable:
-            raise StabilityError(
-                f"reduced model has a pole with Re >= 0 (margin {margin:.3e}); "
-                "the frequency integral diverges"
-            )
-    elif np.max(np.real(system.poles)) >= 0:
-        raise StabilityError("model has a pole in the closed right half-plane")
-
-
-def _h2_sq_closed(system) -> float:
-    if isinstance(system, ReducedModel):
-        system = pole_residue(system)
-    GU, GY = _port_grams(system)
-    lam = system.poles
+def _h2_sq_closed(model) -> float:
+    GU, GY = _port_grams(model)
+    lam = model.poles
     denom = -(lam[:, None] + np.conj(lam[None, :]))
     return float(np.real(np.sum(GU * GY / denom)))
 
 
-def _h2_sq_quadrature(system, quad: FrequencyQuadrature) -> float:
-    if isinstance(system, ReducedModel):
-        vals = [_hs_sq_rom(system, 1j * w) for w in quad.omegas]
-    else:
-        vals = [_hs_sq_factor(system, 1j * w) for w in quad.omegas]
+def _h2_sq_quadrature(model, quad: FrequencyQuadrature) -> float:
+    vals = [_hs_sq_factor(model, 1j * w) for w in quad.omegas]
     return float(quad.integrate(vals)) / (2.0 * np.pi)
 
 
@@ -146,8 +131,7 @@ def _converged_quadrature(fn):
 
 def h2_norm(system) -> float:
     """H2 norm via the closed double series over pole pairs."""
-    _require_stable(system)
-    return np.sqrt(_h2_sq_closed(system))
+    return np.sqrt(_h2_sq_closed(_stable_factor_form(system)))
 
 
 @dataclass
@@ -166,13 +150,13 @@ def h2_norm_report(system, quad: FrequencyQuadrature | None = None) -> H2NormRep
 
     Without an explicit rule the quadrature doubles its nodes until stable.
     """
-    _require_stable(system)
+    model = _stable_factor_form(system)
     if quad is None:
-        qsq = _converged_quadrature(lambda q: _h2_sq_quadrature(system, q))
+        qsq = _converged_quadrature(lambda q: _h2_sq_quadrature(model, q))
     else:
-        qsq = _h2_sq_quadrature(system, quad)
+        qsq = _h2_sq_quadrature(model, quad)
     return H2NormReport(
-        closed=np.sqrt(_h2_sq_closed(system)),
+        closed=np.sqrt(_h2_sq_closed(model)),
         quadrature=np.sqrt(qsq),
     )
 
@@ -187,12 +171,7 @@ def h2_inner_rank1(system, lam, p: FunctionVector, q: FunctionVector):
     lam = complex(lam)
     if lam.real >= 0:
         raise ValueError(f"pole must satisfy Re < 0, got {lam}")
-    _require_stable(system)
-    mirror = -np.conj(lam)
-    if isinstance(system, ReducedModel):
-        value = system.eval_tf(mirror, p)
-    else:
-        value = system.apply_tf(mirror, p)
+    value = _stable_factor_form(system).apply_tf(-np.conj(lam), p)
     return complex(inner_product(q, value))
 
 
@@ -205,10 +184,8 @@ def h2_error(full, rom: ReducedModel) -> float:
     Tiny negative round-off is clamped to zero; a negative value beyond
     round-off scale means the inputs are inconsistent and raises.
     """
-    _require_stable(full)
-    pr = pole_residue(rom)
-    if np.max(np.real(pr.poles)) >= 0:
-        raise StabilityError("reduced model must be stable for the H2 error")
+    full = _stable_factor_form(full)
+    pr = _stable_factor_form(rom)
     gsq = _h2_sq_closed(full)
     grsq = _h2_sq_closed(pr)
     cross = 0.0 + 0.0j
@@ -217,7 +194,7 @@ def h2_error(full, rom: ReducedModel) -> float:
         cross += inner_product(FunctionVector(pr.obs_grid, c), value)
     err = gsq - 2.0 * cross.real + grsq
     if err < 0:
-        scale = max(gsq, grsq, 1.0)
+        scale = max(gsq, grsq)
         if err < -NEGATIVE_CLAMP * scale:
             raise ReductionError(
                 f"squared error came out at {err:.3e} (scale {scale:.3e}); "
@@ -237,10 +214,12 @@ def h2_error_quadrature(full, rom: ReducedModel,
     difference is never formed as a dense operator. Without an explicit rule
     the quadrature doubles its nodes until stable.
     """
-    _require_stable(full)
-    _require_stable(rom)
+    full = _stable_factor_form(full)
+    _stable_factor_form(rom)
     GUb = (full.input_factors * full.con_grid.weights) @ np.conj(rom.B).T
     GYc = (np.conj(full.output_factors) * full.obs_grid.weights) @ rom.C.T
+    GB = (np.conj(rom.B) * rom.u_grid.weights) @ rom.B.T
+    GC = (rom.C * rom.y_grid.weights) @ np.conj(rom.C).T
     lam = full.poles
 
     def integral(rule):
@@ -250,7 +229,8 @@ def h2_error_quadrature(full, rom: ReducedModel,
             K = np.linalg.inv(rom._pencil(s))
             alpha = 1.0 / (s - lam)
             cross = np.conj(alpha) @ np.sum((GYc @ K) * GUb, axis=1)
-            total += wt * (_hs_sq_factor(full, s) + _hs_sq_rom(rom, s) - 2.0 * cross.real)
+            hs_sq_rom = np.real(np.sum((K @ GB @ K.conj().T) * GC))
+            total += wt * (_hs_sq_factor(full, s) + hs_sq_rom - 2.0 * cross.real)
         return total / (2.0 * np.pi)
 
     value = integral(quad) if quad is not None else _converged_quadrature(integral)
@@ -304,10 +284,8 @@ def optimality_residuals(full, rom: ReducedModel) -> OptimalityReport:
     error: the interpolation residuals at the mirror points -conj(lam_i),
     with transfer values along b_i, adjoint values along c_i, and the
     bilinear derivative along the pair (b_i, c_i)."""
-    _require_stable(full)
-    pr = pole_residue(rom)
-    if np.max(np.real(pr.poles)) >= 0:
-        raise StabilityError("optimality conditions require a stable reduced model")
+    _stable_factor_form(full)
+    pr = _stable_factor_form(rom)
     mirrors = -np.conj(pr.poles)
     bs = [FunctionVector(pr.con_grid, b) for b in pr.input_factors]
     cs = [FunctionVector(pr.obs_grid, c) for c in pr.output_factors]

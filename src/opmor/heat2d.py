@@ -80,23 +80,6 @@ class FullModel(PoleFactorModel):
         self.truncation = truncation
         self.modes = modes
         self.modes.setflags(write=False)
-        self.stability_margin = 2 * np.pi**2
-
-    @property
-    def eigenvalues(self):
-        """Retained eigenvalues in mode order (real parts of the poles)."""
-        return np.real(self.poles)
-
-    @property
-    def b_coeffs(self):
-        """Weight-folded input pairings: row k maps con-node values of p to
-        <1_con p, phi_k>."""
-        return self._in_pair
-
-    @property
-    def c_modes(self):
-        """Mode values on the observation grid (modes x nodes)."""
-        return self.output_factors
 
     def mode_label(self, k):
         return (int(self.modes[k, 0]), int(self.modes[k, 1]))

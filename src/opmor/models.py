@@ -46,11 +46,12 @@ def phi2(z):
 
 
 class PoleFactorModel:
-    """Common evaluation logic for pole-factor transfer functions.
+    """Evaluation logic for pole-factor transfer functions.
 
-    Subclasses fill in ``poles`` (K,), ``input_factors`` (K x con nodes),
-    ``output_factors`` (K x obs nodes) and the two grids. Factor arrays are
-    node values of the u_k and y_k.
+    Holds ``poles`` (K,), ``input_factors`` (K x con nodes) and
+    ``output_factors`` (K x obs nodes), the node values of the u_k and y_k,
+    on the two grids. Subclasses build these from a model (the heat
+    benchmark, the rank-1 toy); ``rom.pole_residue`` builds one directly.
     """
 
     def __init__(self, con_grid: QuadratureGrid, obs_grid: QuadratureGrid,

@@ -82,20 +82,20 @@ def build_bases(model: FullModel, sigmas, ps, rhos, qs):
         raise ValueError("point and direction lists must have equal length")
     ps = [make_direction(p, model.con_grid) for p in ps]
     qs = [make_direction(q, model.obs_grid) for q in qs]
-    lam = model.eigenvalues
+    lam = model.poles.real
     v_cols = []
     for s, p in zip(sigmas, ps):
         model._check_point(s)
         if p.norm() == 0:
             raise ValueError("right direction is zero")
-        v_cols.append((model.b_coeffs @ p.values) / (complex(s) - lam))
+        v_cols.append(model._input_coefficients(p) / (complex(s) - lam))
     w_rows = []
     obs_w = model.obs_grid.weights
     for t, q in zip(rhos, qs):
         model._check_point(t)
         if q.norm() == 0:
             raise ValueError("left direction is zero")
-        cq = (model.c_modes * obs_w) @ np.conj(q.values)
+        cq = (model.output_factors * obs_w) @ np.conj(q.values)
         w_rows.append(cq / (complex(t) - lam))
     V = ModalBasisMatrix("V", np.array(v_cols).T, np.asarray(sigmas, dtype=complex), ps)
     W = ModalBasisMatrix("W", np.array(w_rows), np.asarray(rhos, dtype=complex), qs)
@@ -115,7 +115,7 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix,
     """
     V.check_rank()
     W.check_rank()
-    lam = model.eigenvalues
+    lam = model.poles.real
     E = W.coeffs @ V.coeffs
     A = W.coeffs @ (lam[:, None] * V.coeffs)
     cond = float(np.linalg.cond(E))
@@ -135,7 +135,7 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix,
         E,
         A,
         np.conj(W.coeffs) @ model.input_factors,
-        V.coeffs.T @ model.c_modes,
+        V.coeffs.T @ model.output_factors,
         model.con_grid,
         model.obs_grid,
         provenance,
@@ -145,7 +145,7 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix,
 def _input_columns(model: FullModel, ps):
     if len(ps) == 0:
         return np.zeros((model.poles.size, 0), dtype=np.complex128)
-    return np.array([model.b_coeffs @ p.values for p in ps]).T
+    return np.array([model._input_coefficients(p) for p in ps]).T
 
 
 def sylvester_residual_right(model: FullModel, V: ModalBasisMatrix, sigmas, ps):
@@ -155,7 +155,7 @@ def sylvester_residual_right(model: FullModel, V: ModalBasisMatrix, sigmas, ps):
     B = _input_columns(model, ps)
     if B.size == 0:
         return 0.0, 0.0
-    lam = model.eigenvalues
+    lam = model.poles.real
     R = V.coeffs @ np.diag(np.asarray(sigmas, dtype=complex)) - lam[:, None] * V.coeffs - B
     absres = float(np.linalg.norm(R))
     return absres, absres / float(np.linalg.norm(B))
@@ -168,8 +168,8 @@ def sylvester_residual_left(model: FullModel, W: ModalBasisMatrix, rhos, qs):
     if len(qs) == 0:
         return 0.0, 0.0
     obs_w = model.obs_grid.weights
-    C = np.array([(model.c_modes * obs_w) @ np.conj(q.values) for q in qs])
-    lam = model.eigenvalues
+    C = np.array([(model.output_factors * obs_w) @ np.conj(q.values) for q in qs])
+    lam = model.poles.real
     R = np.diag(np.asarray(rhos, dtype=complex)) @ W.coeffs - W.coeffs * lam[None, :] - C
     absres = float(np.linalg.norm(R))
     return absres, absres / float(np.linalg.norm(C))
@@ -194,7 +194,7 @@ def projector_check(model: FullModel, rom: ReducedModel, V: ModalBasisMatrix,
     """
     s = model._check_point(s)
     M = rom._pencil(s)
-    lam = model.eigenvalues
+    lam = model.poles.real
 
     def apply_p(x):
         return V.coeffs @ np.linalg.solve(M, W.coeffs @ ((s - lam) * x))

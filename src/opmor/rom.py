@@ -3,10 +3,11 @@ same function spaces as the full model.
 
 A ReducedModel is the tuple (E, A, B, C): the input map sends p to the
 vector of pairings <p, b_i>_U with the rows b_i of B, the pencil solve
-applies (sE - A)^{-1}, and the output map combines the rows c_j of C. The
+applies (sE - A)^{-1}, and the output map combines the rows c_j of C.
+Point evaluations (interpolation checks) solve with the pencil. The
 pole-residue decomposition turns the pencil into r scalar poles with
-tangential directions, which drives stability checks, H2 formulas and exact
-time stepping.
+tangential directions as a models.PoleFactorModel; the IRKA update, every
+H2 quantity (stability included) and exact time stepping use that form.
 """
 
 from __future__ import annotations
@@ -149,18 +150,20 @@ def pole_residue(rom: ReducedModel) -> PoleFactorModel:
     is policed at assembly), then normalizes left/right eigenvectors so
     y_i^* E x_j = delta_ij. The result is the same transfer function as a
     PoleFactorModel, G_r(s) = sum_i <., b_i> c_i / (s - poles[i]), with the
-    b_i and c_i as its input and output factors and no pole tolerance.
-    Raises SemiSimplicityError when eigenvalues cluster tighter than the
-    separation tolerance.
+    b_i and c_i as its input and output factors. Its pole tolerance is
+    SOLVE_RTOL times the largest |pole|, so evaluating at a reduced pole
+    raises PoleProximityError where the pencil solve would raise
+    SingularSolveError. Raises SemiSimplicityError when eigenvalues cluster
+    tighter than the separation tolerance.
     """
     vals, X = np.linalg.eig(np.linalg.solve(rom.E, rom.A))
     order = _pole_order(vals)
     vals = vals[order]
     X = X[:, order]
+    scale = max(np.max(np.abs(vals)), np.finfo(float).tiny)
     if rom.r > 1:
         gaps = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(gaps, np.inf)
-        scale = max(np.max(np.abs(vals)), np.finfo(float).tiny)
         if np.min(gaps) < POLE_SEPARATION_RTOL * scale:
             raise SemiSimplicityError(
                 f"pencil eigenvalues cluster below separation tolerance "
@@ -170,15 +173,7 @@ def pole_residue(rom: ReducedModel) -> PoleFactorModel:
     # rows of (E X)^{-1} are left eigenvectors with y_i^* E x_j = delta_ij
     YH = np.linalg.inv(rom.E @ X)
     return PoleFactorModel(rom.u_grid, rom.y_grid, vals,
-                           np.conj(YH) @ rom.B, X.T @ rom.C, pole_tol=0.0)
-
-
-def is_stable(rom: ReducedModel):
-    """(stable, margin): stable iff all poles lie in the open left half-plane;
-    margin is -max Re(pole)."""
-    pr = pole_residue(rom)
-    worst = float(np.max(np.real(pr.poles)))
-    return worst < 0, -worst
+                           np.conj(YH) @ rom.B, X.T @ rom.C, pole_tol=SOLVE_RTOL * scale)
 
 
 def simulate(rom: ReducedModel, u, T, dt):

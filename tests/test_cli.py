@@ -91,14 +91,17 @@ class TestPipeline:
         assert all(c["residual"] <= 1e-8 for c in checks)
 
     def test_mixed_grid_rom_is_bad_input(self, pipeline):
-        rom = json.loads(open(pipeline["rom"]).read())
-        order = rom["b_rows"][1]["quad_order"] + 1
-        rom["b_rows"][1].update(quad_order=order, values=[[1.0, 0.0]] * order**2)
-        bad = pipeline["dir"] / "rom_mixed.json"
-        bad.write_text(json.dumps(rom))
-        rc = main(["validate", "--config", pipeline["config"],
-                   "--rom", str(bad), "--tol", "1e-8"])
-        assert rc == 2
+        # one port row, then one provenance direction, moved to another grid
+        for family in (lambda rom: rom["b_rows"],
+                       lambda rom: rom["provenance"]["right_dirs"]):
+            rom = json.loads(open(pipeline["rom"]).read())
+            order = family(rom)[1]["quad_order"] + 1
+            family(rom)[1].update(quad_order=order, values=[[1.0, 0.0]] * order**2)
+            bad = pipeline["dir"] / "rom_mixed.json"
+            bad.write_text(json.dumps(rom))
+            rc = main(["validate", "--config", pipeline["config"],
+                       "--rom", str(bad), "--tol", "1e-8"])
+            assert rc == 2
 
     @pytest.mark.parametrize("corrupt", [
         "duplicate_hermite", "hermite_out_of_range", "one_left_on_other_grid",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmor.errors import PoleProximityError, StabilityError
+from opmor.errors import PoleProximityError, ReductionError, StabilityError
 from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
 from opmor.h2 import (
     FrequencyQuadrature,
@@ -143,6 +143,11 @@ class TestHsNorm:
         with pytest.raises(PoleProximityError):
             hs_norm(heat, eigenvalue(1, 1))
 
+    def test_point_on_reduced_pole_rejected(self, heat_rom):
+        pole = pole_residue(heat_rom).poles[0]
+        with pytest.raises(ReductionError):
+            hs_norm(heat_rom, pole)
+
 
 class TestH2Norm:
     def test_rank_one_closed_value(self, toy):
@@ -252,6 +257,19 @@ class TestH2Error:
         rom = assemble(collect(bad, [2.0], [bad.p], [3.0], [bad.q]))
         with pytest.raises(StabilityError):
             h2_error(toy, rom)
+
+    def test_inconsistency_on_small_norm_model_raises(self, grids, monkeypatch):
+        # ||G||^2 = 5e-7: a cross term inflated by 1e-7 drives the squared
+        # error to -2e-7 ||G||^2 = -1e-13, far beyond round-off at this
+        # scale, so it must not be clamped to zero
+        p = unit_const(grids[0]) * 1e-3
+        full = RankOneModel(p, unit_const(grids[1]), -1.0)
+        assert h2_norm(full) ** 2 == pytest.approx(5e-7, rel=1e-12)
+        rom = assemble(collect(full, [1.0], [full.p], [2.0], [full.q]))
+        exact = full.apply_tf
+        monkeypatch.setattr(full, "apply_tf", lambda s, d: exact(s, d) * (1.0 + 1e-7))
+        with pytest.raises(ReductionError):
+            h2_error(full, rom)
 
 
 class TestOptimalityResiduals:

@@ -61,7 +61,6 @@ class TestModelStructure:
         assert model.poles.shape == (9,)
         assert np.all(np.real(model.poles) < 0)
         assert np.max(np.real(model.poles)) == pytest.approx(-2 * np.pi**2)
-        assert model.stability_margin == pytest.approx(2 * np.pi**2)
 
     def test_hs_tail_budget_decays(self):
         # sum over n^2+m^2 > K of 1/(n^2+m^2)^2 is O(1/K); check the partial

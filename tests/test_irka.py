@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opmor import h2, irka
 from opmor.errors import ConditioningError, PoleProximityError
 from opmor.funcspace import Patch, QuadratureGrid, constant
 from opmor.h2 import h2_error, optimality_residuals
@@ -164,3 +165,39 @@ class TestRun:
                             init_left_dirs=[toy.q, toy.q])
         with pytest.raises(ConditioningError, match="iteration 1"):
             run(toy, config)
+
+
+def test_evaluations_and_diagonalizations_per_sweep(monkeypatch):
+    """Each r = 2 sweep samples the full model 3r times (r transfer, r
+    adjoint, r derivative evaluations), evaluates it 4r times in its
+    diagnostics (r of each kind in optimality_residuals, r transfers in
+    h2_error), and diagonalizes three times: in step, optimality_residuals
+    and h2_error. perfbench's traced per-sweep counts read the same figures
+    through the same bindings."""
+    full = FullModel(
+        QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 16),
+        QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 16),
+        ModalTruncation(6),
+    )
+    counts = dict.fromkeys(["pole_residue", "apply_tf", "apply_tf_adjoint",
+                            "apply_tf_derivative"], 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (h2, irka):
+        monkeypatch.setattr(module, "pole_residue",
+                            counting("pole_residue", module.pole_residue))
+    for kind in ("apply_tf", "apply_tf_adjoint", "apply_tf_derivative"):
+        monkeypatch.setattr(full, kind, counting(kind, getattr(full, kind)))
+    r = 2
+    _, report = run(full, IrkaConfig(r=r, init_points=[1.0, 10.0], max_iter=3))
+    sweeps = report.iterations
+    assert sweeps == 3
+    assert np.all(np.isfinite(report.residual_history))
+    assert counts == {"pole_residue": 3 * sweeps, "apply_tf": 3 * r * sweeps,
+                      "apply_tf_adjoint": 2 * r * sweeps,
+                      "apply_tf_derivative": 2 * r * sweeps}
