@@ -88,13 +88,7 @@ def cmd_sample(args) -> int:
 
 def cmd_reduce(args) -> int:
     cfg = load_run_config(args.config)
-    block = cfg.task("reduce")
-    dataset = samples.load(args.data)
-    rom = assemble(
-        dataset,
-        cond_limit=float(block.get("cond_limit", 1e12)),
-        cond_warn=float(block.get("cond_warn", 1e8)),
-    )
+    rom = assemble(samples.load(args.data))
     rom.provenance.update(_report_base(cfg))
     rom_mod.save(rom, args.out)
     print(f"assembled r={rom.r} reduced model (cond E = {rom.provenance['cond_E']:.3e}) "
@@ -152,8 +146,7 @@ def cmd_validate(args) -> int:
 def cmd_h2(args) -> int:
     cfg = load_run_config(args.config)
     model = build_model(cfg.model_block)
-    block = cfg.task("h2")
-    quad = FrequencyQuadrature(int(block.get("nodes", 256)))
+    quad = FrequencyQuadrature()
     norms = h2_norm_report(model, quad)
     report = _report_base(cfg)
     report.update({
@@ -203,13 +196,7 @@ def _seeded_specs(dirs, base_seed):
 
 def cmd_irka(args) -> int:
     cfg = load_run_config(args.config)
-    model_block = dict(cfg.model_block)
-    if args.n_modes is not None:
-        model_block["n_modes"] = args.n_modes
-        # a configured quad_order sized for the old mode count would
-        # under-resolve the products; fall back to the scaling default
-        model_block.pop("quad_order", None)
-    model = build_model(model_block)
+    model = build_model(cfg.model_block)
     block = cfg.task("irka")
     order = args.order if args.order is not None else block.get("order")
     if order is None:
@@ -234,7 +221,6 @@ def cmd_irka(args) -> int:
         init_left_dirs=left_dirs,
         max_iter=args.max_iter if args.max_iter is not None else int(block.get("max_iter", 50)),
         point_tol=args.tol if args.tol is not None else float(block.get("point_tol", 1e-8)),
-        stability_reflection=bool(block.get("stability_reflection", True)),
     )
     reduced, conv = irka_run(model, irka_config)
 
@@ -253,11 +239,12 @@ def cmd_irka(args) -> int:
         "final": None,
     })
     if reduced is not None:
-        opt = optimality_residuals(model, reduced)
+        # the histories already hold the certificate of the returned iterate
+        best = conv.best_iteration - 1
         report["final"] = {
-            "h2_error": h2_error(model, reduced),
-            "max_residual": opt.max_residual,
-            "poles": [complex_to_pair(s) for s in opt.poles],
+            "h2_error": report["h2_error_history"][best],
+            "max_residual": report["residual_history"][best],
+            "poles": [complex_to_pair(s) for s in rom_mod.pole_residue(reduced).poles],
         }
         if args.rom_out:
             reduced.provenance.update(_report_base(cfg))
@@ -384,8 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("irka", help="fixed-point iteration toward H2 optimality")
     common(p)
     p.add_argument("--order", type=int, default=None, help="reduced order r")
-    p.add_argument("--n-modes", type=int, default=None, dest="n_modes",
-                   help="override model n_modes from the config")
     p.add_argument("--init", default=None,
                    help="comma-separated initial points, e.g. '1,10' or '1+2j,1-2j'")
     p.add_argument("--tol", type=float, default=None, help="point movement tolerance")

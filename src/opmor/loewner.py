@@ -28,13 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ConditioningError
 from .funcspace import row_norms
 from .jsonio import complex_to_pair, family_to_json
-from .rom import ReducedModel
+from .rom import COND_LIMIT, ReducedModel
 from .samples import TangentialDataset, to_json
 
-COND_LIMIT = 1e12
 COND_WARN = 1e8
 
 
@@ -62,44 +60,36 @@ def dataset_hash(dataset: TangentialDataset) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def assemble(dataset: TangentialDataset, cond_limit=COND_LIMIT,
-             cond_warn=COND_WARN) -> ReducedModel:
+def assemble(dataset: TangentialDataset) -> ReducedModel:
     """Build the interpolatory reduced model from a tangential dataset.
 
-    Rejects assemblies whose E matrix condition estimate exceeds
-    ``cond_limit`` (no silent regularization; pick different points or
-    directions instead) and warns above ``cond_warn``. Provenance records
-    the dataset hash and the full tangential data so a saved model can be
-    re-validated against a model config alone.
+    The ReducedModel constructor rejects an E whose condition estimate
+    exceeds rom.COND_LIMIT; assembly warns above COND_WARN. Provenance
+    records the dataset hash and the full tangential data so a saved model
+    can be re-validated against a model config alone.
     """
     dataset.validate()
     E, A = _matrices(dataset)
-    cond = float(np.linalg.cond(E))
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise ConditioningError(
-            f"assembled E has condition estimate {cond:.3e} above limit {cond_limit:.1e}; "
-            "the chosen points/directions do not yield a usable pencil",
-            cond_estimate=cond,
-        )
-    if cond > cond_warn:
+    rom = ReducedModel(E, A, dataset.left_values, dataset.right_values,
+                       dataset.u_grid, dataset.y_grid)
+    if rom.e_cond > COND_WARN:
         warnings.warn(
-            f"assembled E has condition estimate {cond:.3e}; results may lose "
-            f"{np.log10(cond):.0f} digits",
+            f"assembled E has condition estimate {rom.e_cond:.3e}; results may lose "
+            f"{np.log10(rom.e_cond):.0f} digits",
             stacklevel=2,
         )
-    provenance = {
+    rom.provenance = {
         "kind": "loewner",
         "tool_version": __version__,
         "dataset_sha256": dataset_hash(dataset),
         "coincidence_tol": dataset.coincidence_tol,
-        "cond_E": cond,
+        "cond_E": rom.e_cond,
         "sigmas": [complex_to_pair(s) for s in dataset.sigmas],
         "rhos": [complex_to_pair(r) for r in dataset.rhos],
         "right_dirs": family_to_json(dataset.P, dataset.u_grid),
         "left_dirs": family_to_json(dataset.Q, dataset.y_grid),
     }
-    return ReducedModel(E, A, dataset.left_values, dataset.right_values,
-                        dataset.u_grid, dataset.y_grid, provenance)
+    return rom
 
 
 @dataclass

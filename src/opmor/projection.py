@@ -104,8 +104,7 @@ def build_bases(model: FullModel, sigmas, ps, rhos, qs):
     return V, W
 
 
-def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix,
-                     cond_limit=1e12) -> ReducedModel:
+def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix) -> ReducedModel:
     """Petrov-Galerkin reduction E = W V, A = W (lam V), with the input map
     rows and output map columns realized on the model grids.
 
@@ -118,28 +117,16 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix,
     lam = model.poles.real
     E = W.coeffs @ V.coeffs
     A = W.coeffs @ (lam[:, None] * V.coeffs)
-    cond = float(np.linalg.cond(E))
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise ConditioningError(
-            f"projected E has condition estimate {cond:.3e} above limit {cond_limit:.1e}",
-            cond_estimate=cond,
-        )
-    provenance = {
+    rom = ReducedModel(E, A, np.conj(W.coeffs) @ model.input_factors,
+                       V.coeffs.T @ model.output_factors, model.con_grid, model.obs_grid)
+    rom.provenance = {
         "kind": "projection",
         "tool_version": __version__,
-        "cond_E": cond,
+        "cond_E": rom.e_cond,
         "sigmas": None if V.points is None else [complex_to_pair(s) for s in V.points],
         "rhos": None if W.points is None else [complex_to_pair(t) for t in W.points],
     }
-    return ReducedModel(
-        E,
-        A,
-        np.conj(W.coeffs) @ model.input_factors,
-        V.coeffs.T @ model.output_factors,
-        model.con_grid,
-        model.obs_grid,
-        provenance,
-    )
+    return rom
 
 
 def _input_columns(model: FullModel, ps):

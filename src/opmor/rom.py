@@ -41,6 +41,9 @@ POLE_SEPARATION_RTOL = 1e-8
 # two members of a conjugate pair) are ordered by imaginary part
 POLE_ORDER_RTOL = 1e-8
 
+# largest cond(E) a reduced model accepts; nothing is regularized silently
+COND_LIMIT = 1e12
+
 # s*E - A counts as singular when its smallest singular value drops below
 # this fraction of the pencil scale |s|*||E|| + ||A||
 SOLVE_RTOL = 1e-13
@@ -53,7 +56,8 @@ class ReducedModel:
     i of the reduced input map (so B_r[p]_i = <p, b_i>_U) on ``u_grid``; row j
     of ``C`` holds the image c_j of reduced basis vector j under the output
     map on ``y_grid``. ``provenance`` is a JSON-plain dict recorded into the
-    file format unchanged.
+    file format unchanged. ``e_cond`` is cond(E); the constructor raises
+    ConditioningError when it is not finite or above COND_LIMIT.
     """
 
     def __init__(self, E, A, B, C, u_grid, y_grid, provenance=None):
@@ -70,8 +74,12 @@ class ReducedModel:
                 f"columns on {y_grid.size} nodes, got shapes {B.shape} and {C.shape}"
             )
         e_cond = float(np.linalg.cond(E))
-        if not np.isfinite(e_cond):
-            raise ConditioningError("E is singular", cond_estimate=e_cond)
+        if not np.isfinite(e_cond) or e_cond > COND_LIMIT:
+            raise ConditioningError(
+                f"E has condition estimate {e_cond:.3e} above limit {COND_LIMIT:.1e}; "
+                "the chosen points/directions do not yield a usable pencil",
+                cond_estimate=e_cond,
+            )
         self.E = E
         self.A = A
         self.r = r
@@ -147,7 +155,7 @@ def pole_residue(rom: ReducedModel) -> PoleFactorModel:
     """Diagonalize the pencil (A, E) into poles and tangential residues.
 
     Solves against E to reduce to a standard eigenproblem (E's conditioning
-    is policed at assembly), then normalizes left/right eigenvectors so
+    is policed by the constructor), then normalizes left/right eigenvectors so
     y_i^* E x_j = delta_ij. The result is the same transfer function as a
     PoleFactorModel, G_r(s) = sum_i <., b_i> c_i / (s - poles[i]), with the
     b_i and c_i as its input and output factors. Its pole tolerance is

@@ -189,6 +189,17 @@ class TestErrorExits:
         assert __version__ in proc.stdout
 
 
+def test_cli_import_needs_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, opmor.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestH2Command:
     def test_norm_only_report(self, tmp_path, config):
         out = tmp_path / "h2.json"
@@ -231,6 +242,17 @@ class TestIrkaCommand:
         assert len(lines) == report["iterations"] + 1
         rom = json.loads(rom_out.read_text())
         assert rom["r"] == 2
+
+    @pytest.mark.parametrize("max_iter", ["50", "3"])
+    def test_final_is_read_from_the_histories(self, tmp_path, config, max_iter):
+        out = tmp_path / "irka.json"
+        main(["irka", "--config", config, "--order", "2", "--init", "1,10",
+              "--max-iter", max_iter, "--out", str(out)])
+        report = json.loads(out.read_text())
+        best = report["best_iteration"] - 1
+        assert report["final"]["h2_error"] == report["h2_error_history"][best]
+        assert report["final"]["max_residual"] == report["residual_history"][best]
+        assert len(report["final"]["poles"]) == 2
 
     def test_nonconvergence_exits_1(self, tmp_path, config):
         out = tmp_path / "irka.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -77,12 +79,52 @@ class TestStep:
         bad = RankOneModel(unit_const(grids[0]), unit_const(grids[1]), 0.5)
         _, pts, _, _ = step(bad, [2.0], [bad.p], [bad.q])
         assert pts[0] == pytest.approx(0.5, rel=1e-10)
-        _, pts, _, _ = step(bad, [2.0], [bad.p], [bad.q], stability_reflection=False)
-        assert pts[0] == pytest.approx(-0.5, rel=1e-10)
 
     def test_point_on_spectrum_rejected(self, toy):
         with pytest.raises(PoleProximityError):
             step(toy, [-1.0], [toy.p], [toy.q])
+
+
+def random_points(rng, r):
+    return rng.uniform(-3, 3, r) + 1j * rng.uniform(-3, 3, r)
+
+
+def optimal_matching_movement(old, new):
+    """Bottleneck movement under the best one-to-one matching, by brute force."""
+    cost = np.abs(old[:, None] - new[None, :])
+    rows = np.arange(len(old))
+    return min(cost[rows, list(perm)].max()
+               for perm in itertools.permutations(range(len(new))))
+
+
+class TestMovement:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_symmetric_and_permutation_invariant(self, seed):
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(1, 7))
+        old, new = random_points(rng, r), random_points(rng, r)
+        d = irka._matched_movement(old, new)
+        assert irka._matched_movement(new, old) == d
+        assert irka._matched_movement(rng.permutation(old), rng.permutation(new)) == d
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_never_exceeds_optimal_matching(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        r = int(rng.integers(1, 7))
+        old, new = random_points(rng, r), random_points(rng, r)
+        assert irka._matched_movement(old, new) <= optimal_matching_movement(old, new)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_optimal_matching_within_half_separation(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        r = int(rng.integers(2, 7))
+        old = random_points(rng, r)
+        gaps = np.abs(old[:, None] - old[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        # move every point by less than half the minimum separation
+        radius = 0.49 * gaps.min() * rng.uniform(0.1, 1.0, r)
+        new = rng.permutation(old + radius * np.exp(2j * np.pi * rng.uniform(size=r)))
+        assert irka._matched_movement(old, new) == optimal_matching_movement(old, new)
 
 
 class TestRun:

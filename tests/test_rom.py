@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opmor.errors import ParseError, SemiSimplicityError, SingularSolveError
+from opmor.errors import ConditioningError, ParseError, SemiSimplicityError, SingularSolveError
 from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
 from opmor.heat2d import FullModel, ModalTruncation
 from opmor.jsonio import fv_to_json
@@ -188,6 +188,22 @@ class TestPoleResidue:
             a = heat_rom.eval_tf(s, p)
             b = pr.apply_tf(s, p)
             assert (a - b).norm() < 1e-9 * a.norm()
+
+
+class TestConditioning:
+    def test_ill_conditioned_e_rejected(self):
+        # the constructor is the one conditioning check: cond E = 1e13 is
+        # finite but above rom.COND_LIMIT
+        with pytest.raises(ConditioningError) as ei:
+            ReducedModel(
+                np.diag([1.0, 1e-13]),
+                -np.eye(2),
+                [random_fv(U_GRID, 1).values, random_fv(U_GRID, 2).values],
+                [random_fv(Y_GRID, 3).values, random_fv(Y_GRID, 4).values],
+                U_GRID,
+                Y_GRID,
+            )
+        assert ei.value.cond_estimate == pytest.approx(1e13, rel=1e-12)
 
 
 class TestStability:
