@@ -188,10 +188,9 @@ def h2_error(full, rom: ReducedModel) -> float:
     pr = _stable_factor_form(rom)
     gsq = _h2_sq_closed(full)
     grsq = _h2_sq_closed(pr)
-    cross = 0.0 + 0.0j
-    for lam, b, c in zip(pr.poles, pr.input_factors, pr.output_factors):
-        value = full.apply_tf(-np.conj(lam), FunctionVector(pr.con_grid, b))
-        cross += inner_product(FunctionVector(pr.obs_grid, c), value)
+    cross = sum(h2_inner_rank1(full, lam, FunctionVector(pr.con_grid, b),
+                               FunctionVector(pr.obs_grid, c))
+                for lam, b, c in zip(pr.poles, pr.input_factors, pr.output_factors))
     err = gsq - 2.0 * cross.real + grsq
     if err < 0:
         scale = max(gsq, grsq)

@@ -14,7 +14,8 @@ convergence decision: pole_residue keeps the poles at least 1e-8 max|lambda|
 apart, over twice point_tol at the heat model's pole scale (>= 2 pi^2).
 Empirically a movement below point_tol keeps the optimality residuals under
 about 100x point_tol, which is what the default pairing (1e-8 -> 1e-6) is
-calibrated for.
+calibrated for. Conjugate-closed data assemble to a real pencil with exact
+conjugate pole pairs, so point sets and directions stay closed unsnapped.
 
 No convergence theory is claimed: non-convergent runs return the best
 (least-moving) iterate flagged converged=False rather than raising.
@@ -32,9 +33,6 @@ from .h2 import h2_error, optimality_residuals
 from .loewner import assemble
 from .rom import ReducedModel, pole_residue
 from .samples import collect, make_direction
-
-CONJ_SNAP_RTOL = 1e-8
-REAL_SNAP_RTOL = 1e-12
 
 
 @dataclass
@@ -80,30 +78,6 @@ def _fix_phase(rows, grid) -> np.ndarray:
     return v * (np.conj(pivot) / np.abs(pivot))
 
 
-def _snap_conjugate(points, right_vals, left_vals):
-    """Make near-conjugate point/direction pairs exactly conjugate (and
-    near-real points exactly real) so closure survives round-off."""
-    pts = [complex(s) for s in points]
-    scale = max(1.0, max(abs(s) for s in pts))
-    done = set()
-    for i, s in enumerate(pts):
-        if i in done:
-            continue
-        if abs(s.imag) <= REAL_SNAP_RTOL * scale:
-            pts[i] = complex(s.real, 0.0)
-            continue
-        for j in range(i + 1, len(pts)):
-            if j in done:
-                continue
-            if abs(pts[j] - np.conj(s)) <= CONJ_SNAP_RTOL * scale:
-                pts[j] = complex(np.conj(s))
-                right_vals[j] = np.conj(right_vals[i])
-                left_vals[j] = np.conj(left_vals[i])
-                done.add(j)
-                break
-    return pts
-
-
 def step(full, points, right_dirs, left_dirs):
     """One interpolation sweep: Hermite data at the given points, reduced
     model assembly, and mirror-point/residue-direction extraction.
@@ -121,10 +95,9 @@ def step(full, points, right_dirs, left_dirs):
     mirrors = -np.conj(poles)
     right_vals = _fix_phase(pr.input_factors, rom.u_grid)
     left_vals = _fix_phase(pr.output_factors, rom.y_grid)
-    next_points = _snap_conjugate(mirrors, right_vals, left_vals)
     next_right = [FunctionVector(rom.u_grid, v) for v in right_vals]
     next_left = [FunctionVector(rom.y_grid, v) for v in left_vals]
-    return rom, next_points, next_right, next_left
+    return rom, [complex(s) for s in mirrors], next_right, next_left
 
 
 def _matched_movement(old, new) -> float:

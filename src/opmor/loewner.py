@@ -14,8 +14,10 @@ scalar h = <dG/ds(sigma_j)[p_j], q_i>:
 
 The input map rows are the left sample values, the output map columns the
 right sample values, so the assembled model interpolates the data by
-construction. No model evaluations happen here; the dataset is the only
-input.
+construction. Data conjugate-closed on both sides give the equivalent real
+realization, where a pair's input rows and output columns are sqrt(2) times
+the real and imaginary parts of its first sample. No model evaluations
+happen here; the dataset is the only input.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ import numpy as np
 from . import __version__
 from .funcspace import row_norms
 from .jsonio import complex_to_pair, family_to_json
-from .rom import COND_LIMIT, ReducedModel
-from .samples import TangentialDataset, to_json
+from .rom import COND_LIMIT, ReducedModel, real_realization
+from .samples import TangentialDataset, conjugate_transform, to_json
 
 COND_WARN = 1e8
 
@@ -70,8 +72,12 @@ def assemble(dataset: TangentialDataset) -> ReducedModel:
     """
     dataset.validate()
     E, A = _matrices(dataset)
-    rom = ReducedModel(E, A, dataset.left_values, dataset.right_values,
-                       dataset.u_grid, dataset.y_grid)
+    B, C = dataset.left_values, dataset.right_values
+    TL = conjugate_transform(dataset.rhos, dataset.Q, dataset.y_grid)
+    TR = conjugate_transform(dataset.sigmas, dataset.P, dataset.u_grid)
+    if TL is not None and TR is not None:
+        E, A, B, C = real_realization(E, A, B, C, TL, TR)
+    rom = ReducedModel(E, A, B, C, dataset.u_grid, dataset.y_grid)
     if rom.e_cond > COND_WARN:
         warnings.warn(
             f"assembled E has condition estimate {rom.e_cond:.3e}; results may lose "

@@ -31,8 +31,8 @@ from . import __version__
 from .errors import ConditioningError
 from .heat2d import FullModel
 from .jsonio import complex_to_pair
-from .rom import ReducedModel
-from .samples import make_direction
+from .rom import ReducedModel, real_realization
+from .samples import conjugate_transform, make_direction
 
 RANK_RTOL = 1e-13
 
@@ -110,15 +110,22 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix)
 
     The resulting input representers are exactly the adjoint-resolvent
     samples the data-driven path uses, and the output columns the transfer
-    samples, whenever V and W came from build_bases.
+    samples, whenever V and W came from build_bases; conjugate-closed
+    recorded data give the same real realization as loewner.assemble.
     """
     V.check_rank()
     W.check_rank()
     lam = model.poles.real
     E = W.coeffs @ V.coeffs
     A = W.coeffs @ (lam[:, None] * V.coeffs)
-    rom = ReducedModel(E, A, np.conj(W.coeffs) @ model.input_factors,
-                       V.coeffs.T @ model.output_factors, model.con_grid, model.obs_grid)
+    B = np.conj(W.coeffs) @ model.input_factors
+    C = V.coeffs.T @ model.output_factors
+    if V.points is not None and W.points is not None:
+        TL, TR = (conjugate_transform(M.points, np.array([d.values for d in M.directions]), grid)
+                  for M, grid in ((W, model.obs_grid), (V, model.con_grid)))
+        if TL is not None and TR is not None:
+            E, A, B, C = real_realization(E, A, B, C, TL, TR)
+    rom = ReducedModel(E, A, B, C, model.con_grid, model.obs_grid)
     rom.provenance = {
         "kind": "projection",
         "tool_version": __version__,
@@ -169,9 +176,9 @@ class ProjectorReport:
     kernel_max: float
 
 
-def projector_check(model: FullModel, rom: ReducedModel, V: ModalBasisMatrix,
-                    W: ModalBasisMatrix, s, trials: int = 20, seed: int = 0) -> ProjectorReport:
-    """Numerical test of the skew projector P(s) = V (sE-A)^{-1} W (s - A).
+def projector_check(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix, s,
+                    trials: int = 20, seed: int = 0) -> ProjectorReport:
+    """Numerical test of the skew projector P(s) = V (W (s - A) V)^{-1} W (s - A).
 
     Applies P twice to random modal vectors and reports the worst relative
     idempotency defect, the worst deviation of P v from v over the columns
@@ -180,8 +187,8 @@ def projector_check(model: FullModel, rom: ReducedModel, V: ModalBasisMatrix,
     annihilation).
     """
     s = model._check_point(s)
-    M = rom._pencil(s)
     lam = model.poles.real
+    M = W.coeffs @ ((s - lam)[:, None] * V.coeffs)
 
     def apply_p(x):
         return V.coeffs @ np.linalg.solve(M, W.coeffs @ ((s - lam) * x))

@@ -8,6 +8,9 @@ Point evaluations (interpolation checks) solve with the pencil. The
 pole-residue decomposition turns the pencil into r scalar poles with
 tangential directions as a models.PoleFactorModel; the IRKA update, every
 H2 quantity (stability included) and exact time stepping use that form.
+A real pencil is diagonalized in real arithmetic, so its poles come in
+bitwise-conjugate pairs; with real ports too, each pair's residues are set
+pairwise to exact conjugates, and a real pole's residues are real.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ from .models import PoleFactorModel
 
 # relative eigenvalue separation below which a pencil is treated as defective
 POLE_SEPARATION_RTOL = 1e-8
-
-# poles whose real parts agree to this fraction of the largest |pole| (the
-# two members of a conjugate pair) are ordered by imaginary part
-POLE_ORDER_RTOL = 1e-8
 
 # largest cond(E) a reduced model accepts; nothing is regularized silently
 COND_LIMIT = 1e12
@@ -141,14 +140,11 @@ class ReducedModel:
         return f"ReducedModel(r={self.r}, cond_E={self.e_cond:.2e})"
 
 
-def _pole_order(vals):
-    """Indices sorting poles by ascending real part, with runs of real parts
-    that agree to POLE_ORDER_RTOL sorted by imaginary part, so a last-bit
-    change cannot swap the members of a conjugate pair."""
-    by_real = np.argsort(vals.real, kind="stable")
-    tol = POLE_ORDER_RTOL * max(np.max(np.abs(vals)), np.finfo(float).tiny)
-    run = np.concatenate(([0], np.cumsum(np.diff(vals.real[by_real]) > tol)))
-    return by_real[np.lexsort((vals.imag[by_real], run))]
+def real_realization(E, A, B, C, TL, TR):
+    """Real parts of the equivalent realization (TL^H E TR, TL^H A TR, TL^T B,
+    TR^T C); real up to round-off for samples.conjugate_transform data."""
+    return ((TL.conj().T @ E @ TR).real, (TL.conj().T @ A @ TR).real,
+            (TL.T @ B).real, (TR.T @ C).real)
 
 
 def pole_residue(rom: ReducedModel) -> PoleFactorModel:
@@ -158,16 +154,18 @@ def pole_residue(rom: ReducedModel) -> PoleFactorModel:
     is policed by the constructor), then normalizes left/right eigenvectors so
     y_i^* E x_j = delta_ij. The result is the same transfer function as a
     PoleFactorModel, G_r(s) = sum_i <., b_i> c_i / (s - poles[i]), with the
-    b_i and c_i as its input and output factors. Its pole tolerance is
-    SOLVE_RTOL times the largest |pole|, so evaluating at a reduced pole
-    raises PoleProximityError where the pencil solve would raise
-    SingularSolveError. Raises SemiSimplicityError when eigenvalues cluster
-    tighter than the separation tolerance.
+    b_i and c_i as its input and output factors, ordered by real part, then
+    imaginary part. Its pole tolerance is SOLVE_RTOL times the largest
+    |pole|, so evaluating at a reduced pole raises PoleProximityError where
+    the pencil solve would raise SingularSolveError. Raises
+    SemiSimplicityError when eigenvalues cluster tighter than the
+    separation tolerance.
     """
-    vals, X = np.linalg.eig(np.linalg.solve(rom.E, rom.A))
-    order = _pole_order(vals)
-    vals = vals[order]
-    X = X[:, order]
+    real = not (rom.E.imag.any() or rom.A.imag.any())
+    E, A = (rom.E.real, rom.A.real) if real else (rom.E, rom.A)
+    vals, X = np.linalg.eig(np.linalg.solve(E, A))
+    order = np.lexsort((vals.imag, vals.real))
+    vals, X = vals[order], X[:, order]
     scale = max(np.max(np.abs(vals)), np.finfo(float).tiny)
     if rom.r > 1:
         gaps = np.abs(vals[:, None] - vals[None, :])
@@ -179,9 +177,16 @@ def pole_residue(rom: ReducedModel) -> PoleFactorModel:
                 poles=vals,
             )
     # rows of (E X)^{-1} are left eigenvectors with y_i^* E x_j = delta_ij
-    YH = np.linalg.inv(rom.E @ X)
-    return PoleFactorModel(rom.u_grid, rom.y_grid, vals,
-                           np.conj(YH) @ rom.B, X.T @ rom.C, pole_tol=SOLVE_RTOL * scale)
+    YH = np.linalg.inv(E @ X)
+    ins, outs = np.conj(YH) @ rom.B, X.T @ rom.C
+    if real and not (rom.B.imag.any() or rom.C.imag.any()):
+        # the inverse does not keep conjugacy, so it is imposed pairwise
+        k, l = np.nonzero(np.triu(vals[:, None] == np.conj(vals)[None, :], 1))
+        ins[l], outs[l] = np.conj(ins[k]), np.conj(outs[k])
+        flat = vals.imag == 0
+        ins[flat], outs[flat] = ins[flat].real, outs[flat].real
+    return PoleFactorModel(rom.u_grid, rom.y_grid, vals, ins, outs,
+                           pole_tol=SOLVE_RTOL * scale)
 
 
 def simulate(rom: ReducedModel, u, T, dt):

@@ -34,6 +34,7 @@ from .jsonio import (
 
 DEFAULT_COINCIDENCE_TOL = 1e-10
 NEAR_COINCIDENCE_WARN = 1e-6
+CONJUGATE_RTOL = 1e-12  # relative match of a conjugate partner's point and direction
 
 
 def coincident_pairs(sigmas, rhos, tol):
@@ -152,20 +153,29 @@ def conjugate_closure(points, dirs):
     return out_p, out_d
 
 
-def is_conjugate_closed(dataset: TangentialDataset, rtol=1e-12) -> bool:
-    """True when every sample has a conjugate partner with conjugated
-    direction, so the dataset supports a real realization."""
-
-    def closed(points, dirs, grid):
-        # entry [k, l] asks whether sample l is the conjugate partner of sample k
-        near = (np.abs(points[None, :] - np.conj(points)[:, None])
-                < rtol * np.maximum(1.0, np.abs(points))[:, None])
-        gaps = row_norms(dirs[None, :, :] - np.conj(dirs)[:, None, :], grid)
-        match = gaps <= rtol * np.maximum(1.0, row_norms(dirs, grid))[:, None]
-        return bool(np.all(np.any(near & match, axis=1)))
-
-    return (closed(dataset.sigmas, dataset.P, dataset.u_grid)
-            and closed(dataset.rhos, dataset.Q, dataset.y_grid))
+def conjugate_transform(points, rows, grid):
+    """Unitary T mapping each pair (k, l) of samples with conjugate points and
+    directions (rows on ``grid``) to (f_k + f_l)/sqrt(2), i(f_l - f_k)/sqrt(2),
+    and a self-paired sample to itself; None if a sample has no partner.
+    For a real model, T^T times a sampled family is real."""
+    points = np.asarray(points, dtype=np.complex128)
+    r = points.size
+    # entry [k, l] asks whether sample l is the conjugate partner of sample k
+    near = (np.abs(points[None, :] - np.conj(points)[:, None])
+            < CONJUGATE_RTOL * np.maximum(1.0, np.abs(points))[:, None])
+    gaps = row_norms(rows[None, :, :] - np.conj(rows)[:, None, :], grid)
+    match = near & (gaps <= CONJUGATE_RTOL * np.maximum(1.0, row_norms(rows, grid))[:, None])
+    partner = np.argmax(match, axis=1)
+    if not np.all(match[np.arange(r), partner]) or np.any(partner[partner] != np.arange(r)):
+        return None
+    T = np.zeros((r, r), dtype=np.complex128)
+    for k, l in enumerate(partner):
+        if k == l:
+            T[k, k] = 1.0
+        elif k < l:
+            T[[k, l], k] = 1.0 / np.sqrt(2.0)
+            T[[k, l], l] = np.array([-1j, 1j]) / np.sqrt(2.0)
+    return T
 
 
 def collect(model, sigmas, ps, rhos, qs,

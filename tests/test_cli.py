@@ -135,6 +135,18 @@ class TestPipeline:
         assert rc == 2
 
 
+def test_reduce_writes_real_matrices_for_the_readme_config(tmp_path):
+    readme_model = dict(MODEL_BLOCK, n_modes=12, quad_order=28)
+    config = write_config(tmp_path / "config.json", model=readme_model)
+    data, rom = str(tmp_path / "data.json"), tmp_path / "rom.json"
+    assert main(["sample", "--config", config, "--out", data]) == 0
+    assert main(["reduce", "--config", config, "--data", data, "--out", str(rom)]) == 0
+    obj = json.loads(rom.read_text())
+    pairs = [pair for key in ("E", "A") for row in obj[key] for pair in row]
+    pairs += [pair for key in ("b_rows", "c_cols") for f in obj[key] for pair in f["values"]]
+    assert pairs and all(im == 0.0 for _, im in pairs)
+
+
 class TestByteDeterminism:
     def test_repeated_runs_identical(self, tmp_path, config):
         def run_all(tag):

@@ -154,6 +154,20 @@ class TestRun:
                 gap = np.min(np.abs(pts - np.conj(s)))
                 assert gap < 1e-10 * max(1.0, abs(s))
 
+    def test_r6_sweeps_stay_exactly_real(self):
+        # conjugate-closed data give a real pencil, whose complex poles come
+        # in bitwise-conjugate pairs, so closure holds exactly in every sweep
+        heat = FullModel(
+            QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 20),
+            QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 20),
+            ModalTruncation(6),
+        )
+        rom, report = run(heat, IrkaConfig(r=6, max_iter=15))
+        for iterate in report.point_history:
+            assert set(iterate) == set(np.conj(iterate))
+        for arr in (rom.E, rom.A, rom.B, rom.C):
+            assert not np.any(arr.imag)
+
     def test_histories_align(self, heat_run):
         _, report = heat_run
         n = report.iterations

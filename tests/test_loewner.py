@@ -7,9 +7,10 @@ import pytest
 from opmor.errors import ConditioningError, DatasetError
 from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
 from opmor.heat2d import FullModel, ModalTruncation
-from opmor.loewner import assemble, condition_report, dataset_hash
+from opmor.loewner import _matrices, assemble, condition_report, dataset_hash
 from opmor.models import RankOneModel
-from opmor.samples import TangentialDataset, collect, save
+from opmor.rom import ReducedModel, pole_residue
+from opmor.samples import TangentialDataset, collect, conjugate_transform, save
 
 
 def _rights(ds):
@@ -44,6 +45,25 @@ def heat():
         QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 20),
         ModalTruncation(8),
     )
+
+
+# the README's sample block: conjugate-closed on both sides
+README_SIGMAS = [1.0, 2.0, 5.0 + 1.0j, 5.0 - 1.0j]
+README_RHOS = [1.0, 2.5, 5.0 + 1.0j, 5.0 - 1.0j]
+README_RIGHT_DIRS = ["mode:1,1", "mode:1,2", "mode:2,1", "mode:2,1"]
+README_LEFT_DIRS = ["mode:1,1", "mode:2,2", "mode:1,3", "mode:1,3"]
+
+
+@pytest.fixture(scope="module")
+def readme():
+    """(model, dataset) of the README config."""
+    model = FullModel(
+        QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 28),
+        QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 28),
+        ModalTruncation(12),
+    )
+    return model, collect(model, README_SIGMAS, README_RIGHT_DIRS,
+                          README_RHOS, README_LEFT_DIRS)
 
 
 class TestToyDistinct:
@@ -225,6 +245,8 @@ class TestAssembleHeat:
         rom = assemble(ds)
         herm = ds.hermites
         assert len(herm) == 3
+        ref_e = np.zeros((4, 4), dtype=complex)
+        ref_a = np.zeros((4, 4), dtype=complex)
         for i, (q, lv) in enumerate(_lefts(ds)):
             for j, (p, rv) in enumerate(_rights(ds)):
                 gq = inner_product(rv, q)
@@ -234,8 +256,13 @@ class TestAssembleHeat:
                 else:
                     d = rho[i] - sig[j]
                     e, a = -(pg - gq) / d, -(rho[i] * pg - sig[j] * gq) / d
-                assert abs(rom.E[i, j] - e) <= 1e-13 * np.abs(rom.E).max()
-                assert abs(rom.A[i, j] - a) <= 1e-13 * np.abs(rom.A).max()
+                ref_e[i, j], ref_a[i, j] = e, a
+        # the data are conjugate-closed, so assembly returns the real realization
+        TL = conjugate_transform(ds.rhos, ds.Q, ds.y_grid)
+        TR = conjugate_transform(ds.sigmas, ds.P, ds.u_grid)
+        for got, ref in ((rom.E, ref_e), (rom.A, ref_a)):
+            want = (TL.conj().T @ ref @ TR).real
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(got).max()
 
     def test_dataset_hash_sensitivity(self, heat):
         a = collect(heat, [1.0], ["const"], [2.0], ["const"])
@@ -254,3 +281,55 @@ class TestAssembleHeat:
         with open(path) as f:
             text = json.dumps(json.load(f), sort_keys=True, separators=(",", ":"))
         assert dataset_hash(ds) == hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestRealRealization:
+    def test_closed_data_give_real_matrices_and_poles(self, readme):
+        _, ds = readme
+        rom = assemble(ds)
+        for arr in (rom.E, rom.A, rom.B, rom.C):
+            assert not np.any(arr.imag)
+        poles = pole_residue(rom).poles
+        flat = poles[np.abs(poles.imag) < 1e-8 * np.abs(poles)]
+        assert flat.size and not np.any(flat.imag)
+
+    def test_same_transfer_function_as_complex_realization(self, readme):
+        _, ds = readme
+        rom = assemble(ds)
+        ref = ReducedModel(*_matrices(ds), ds.left_values, ds.right_values,
+                           ds.u_grid, ds.y_grid)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            s = complex(rng.uniform(0.5, 20.0), rng.uniform(-20.0, 20.0))
+            p = FunctionVector(ds.u_grid, rng.standard_normal(ds.u_grid.size)
+                               + 1j * rng.standard_normal(ds.u_grid.size))
+            want = ref.eval_tf(s, p)
+            gap = (rom.eval_tf(s, p) - want).norm() / want.norm()
+            assert gap <= np.finfo(float).eps * ref.e_cond
+
+    def test_unpaired_point_keeps_complex_realization(self, readme):
+        model, _ = readme
+        ds = collect(model, README_SIGMAS[:3], README_RIGHT_DIRS[:3],
+                     README_RHOS[:3], README_LEFT_DIRS[:3])
+        assert np.any(assemble(ds).E.imag)
+
+    def test_pencil_solve_matches_50_digit_evaluation(self, readme):
+        # the pencil solve is backward stable, so its error at a sample point
+        # stays within a small multiple of eps * cond(sigma E - A)
+        mpmath = pytest.importorskip("mpmath")
+        _, ds = readme
+        rom = assemble(ds)
+
+        def mp_matrix(arr):
+            return mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in arr])
+
+        for s, p_vals in zip(README_SIGMAS, ds.P):
+            p = FunctionVector(ds.u_grid, p_vals)
+            with mpmath.workdps(50):
+                u = mp_matrix(((np.conj(rom.B) * ds.u_grid.weights) @ p_vals)[:, None])
+                x = mpmath.lu_solve(mpmath.mpc(s) * mp_matrix(rom.E) - mp_matrix(rom.A), u)
+                want = np.array([complex(mpmath.fsum(mpmath.mpc(complex(c)) * xi
+                                                     for c, xi in zip(col, x)))
+                                 for col in rom.C.T])
+            gap = np.linalg.norm(rom.eval_tf(s, p).values - want) / np.linalg.norm(want)
+            assert gap <= 10 * np.finfo(float).eps * np.linalg.cond(s * rom.E - rom.A)

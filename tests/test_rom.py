@@ -144,15 +144,24 @@ class TestPoleResidue:
             np.testing.assert_allclose(pr.input_factors[k], bs[idx].values, rtol=1e-12)
             np.testing.assert_allclose(pr.output_factors[k], cs[idx].values, rtol=1e-12)
 
-    def test_conjugate_pair_order_ignores_last_bit(self):
-        # the real parts of a conjugate pair agree only to roundoff; a 1-ulp
-        # shift on either member must not decide which one comes first
-        near = np.nextafter(-3.0, 0.0)
-        bs = [random_fv(U_GRID, 40 + k) for k in range(2)]
-        cs = [random_fv(Y_GRID, 50 + k) for k in range(2)]
-        for poles in ([-3.0 + 2j, near - 2j], [near + 2j, -3.0 - 2j]):
-            pr = pole_residue(diag_rom(poles, bs, cs))
-            assert list(pr.poles.imag) == [-2.0, 2.0]
+    def test_real_pencil_gives_exact_conjugate_pairs(self):
+        # a real similarity transform of blockdiag([[-3, 2], [-2, -3]], -1):
+        # the pair is listed -2j first, and its poles and residue rows are
+        # bitwise conjugate; the real pole's residue rows are real
+        rng = np.random.default_rng(17)
+        S = rng.standard_normal((3, 3))
+        A = np.zeros((3, 3))
+        A[:2, :2] = [[-3.0, 2.0], [-2.0, -3.0]]
+        A[2, 2] = -1.0
+        rom = ReducedModel(np.eye(3), S @ A @ np.linalg.inv(S),
+                           rng.standard_normal((3, U_GRID.size)),
+                           rng.standard_normal((3, Y_GRID.size)), U_GRID, Y_GRID)
+        pr = pole_residue(rom)
+        np.testing.assert_allclose(pr.poles, [-3.0 - 2.0j, -3.0 + 2.0j, -1.0], rtol=1e-13)
+        assert pr.poles[1] == np.conj(pr.poles[0])
+        for rows in (pr.input_factors, pr.output_factors):
+            assert np.array_equal(rows[1], np.conj(rows[0]))
+            assert not np.any(rows[2].imag)
 
     def test_toy_single_pole(self, toy, toy_rom):
         pr = pole_residue(toy_rom)

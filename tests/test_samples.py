@@ -10,7 +10,7 @@ from opmor.samples import (
     TangentialDataset,
     collect,
     conjugate_closure,
-    is_conjugate_closed,
+    conjugate_transform,
     load,
     make_direction,
     save,
@@ -94,6 +94,12 @@ class TestCollect:
             collect(model, [1.0, 2.0], ["const"], [3.0], ["const"])
 
 
+def paired(ds):
+    """Both sides of the dataset have a conjugate pair transform."""
+    return (conjugate_transform(ds.sigmas, ds.P, ds.u_grid) is not None
+            and conjugate_transform(ds.rhos, ds.Q, ds.y_grid) is not None)
+
+
 class TestConjugateClosure:
     def test_closure_appends_conjugates(self, model):
         pts = [1.0, 2.0 + 1.0j]
@@ -114,13 +120,41 @@ class TestConjugateClosure:
             ["const", "random:6"], conjugate_close=True,
         )
         assert ds.r == 3
-        assert is_conjugate_closed(ds)
+        assert paired(ds)
 
     def test_open_set_detected(self, model):
         ds = collect(model, [3.0 + 2.0j], ["random:5"], [3.0 + 2.0j], ["random:6"])
-        assert not is_conjugate_closed(ds)
+        assert not paired(ds)
         real = collect(model, [1.0], ["const"], [2.0], ["const"])
-        assert is_conjugate_closed(real)
+        assert paired(real)
+
+
+class TestConjugateTransform:
+    POINTS = [1.0, 2.0 + 1.0j, 4.0, 2.0 - 1.0j]
+
+    def dirs(self, model):
+        d = make_direction("random:7", model.con_grid).values
+        return np.array([make_direction("mode:1,1", model.con_grid).values, d,
+                         make_direction("const", model.con_grid).values, np.conj(d)])
+
+    def test_unitary_and_realizes_closed_data(self, model):
+        P = self.dirs(model)
+        T = conjugate_transform(self.POINTS, P, model.con_grid)
+        np.testing.assert_allclose(T.conj().T @ T, np.eye(4), atol=1e-15)
+        real = T.T @ P
+        assert np.max(np.abs(real.imag)) <= 1e-15 * np.max(np.abs(real))
+        # a pair maps to sqrt(2) times the real and imaginary parts of its first row
+        np.testing.assert_allclose(real[[1, 3]].real, np.sqrt(2) * np.array(
+            [P[1].real, P[1].imag]), rtol=1e-15, atol=1e-15)
+
+    def test_unpaired_point(self, model):
+        P = self.dirs(model)
+        assert conjugate_transform(self.POINTS[:3], P[:3], model.con_grid) is None
+
+    def test_pair_with_unconjugated_directions(self, model):
+        P = self.dirs(model)
+        P[3] = P[1]
+        assert conjugate_transform(self.POINTS, P, model.con_grid) is None
 
 
 class TestRoundTrip:
