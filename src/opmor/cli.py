@@ -117,7 +117,7 @@ def cmd_validate(args) -> int:
     Q, q_grid = family_from_json(prov["left_dirs"], "provenance.left_dirs", cache)
     ps = [FunctionVector(p_grid, v) for v in P]
     qs = [FunctionVector(q_grid, v) for v in Q]
-    coincidence_tol = float(prov.get("coincidence_tol", 1e-10))
+    coincidence_tol = float(prov.get("coincidence_tol", samples.DEFAULT_COINCIDENCE_TOL))
     pairs = samples.coincident_pairs(sigmas, rhos, coincidence_tol)
     right, left, herm = interpolation_residuals(model, rom, sigmas, ps, rhos, qs, pairs)
     checks = (
@@ -219,8 +219,8 @@ def cmd_irka(args) -> int:
         init_points=init_points,
         init_right_dirs=right_dirs,
         init_left_dirs=left_dirs,
-        max_iter=args.max_iter if args.max_iter is not None else int(block.get("max_iter", 50)),
-        point_tol=args.tol if args.tol is not None else float(block.get("point_tol", 1e-8)),
+        max_iter=args.max_iter if args.max_iter is not None else int(block.get("max_iter", IrkaConfig.max_iter)),
+        point_tol=args.tol if args.tol is not None else float(block.get("point_tol", IrkaConfig.point_tol)),
     )
     reduced, conv = irka_run(model, irka_config)
 
@@ -232,7 +232,7 @@ def cmd_irka(args) -> int:
         "converged": conv.converged,
         "iterations": conv.iterations,
         "best_iteration": conv.best_iteration,
-        "point_history": [[complex_to_pair(s) for s in pts] for pts in conv.point_history],
+        "point_history": [complex_to_pair(pts) for pts in conv.point_history],
         "movement_history": _clean(conv.movement_history),
         "residual_history": _clean(conv.residual_history),
         "h2_error_history": _clean(conv.h2_error_history),
@@ -244,7 +244,7 @@ def cmd_irka(args) -> int:
         report["final"] = {
             "h2_error": report["h2_error_history"][best],
             "max_residual": report["residual_history"][best],
-            "poles": [complex_to_pair(s) for s in rom_mod.pole_residue(reduced).poles],
+            "poles": complex_to_pair(rom_mod.pole_residue(reduced).poles),
         }
         if args.rom_out:
             reduced.provenance.update(_report_base(cfg))

@@ -1,7 +1,8 @@
 """JSON helpers shared by dataset, model and report files.
 
-Complex scalars are stored exclusively as two-element [re, im] arrays;
-complex matrices as nested lists of such pairs. Function vectors carry their
+Complex data are stored exclusively as [re, im] pairs: a scalar is one
+pair, a vector a list of pairs, a matrix a list of such rows. One encoder,
+``complex_to_pair``, writes all three shapes. Function vectors carry their
 own grid metadata (patch and per-axis order) so files are self-describing.
 Python's float repr round-trips through JSON exactly, which makes save/load
 bit-exact.
@@ -18,8 +19,9 @@ from .funcspace import FunctionVector, Patch, QuadratureGrid
 
 
 def complex_to_pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
+    """Complex data of any shape as nested lists ending in [re, im] pairs."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.stack((z.real, z.imag), axis=-1).tolist()
 
 
 def pair_to_complex(obj, where=""):
@@ -32,9 +34,6 @@ def pair_to_complex(obj, where=""):
     return complex(obj[0], obj[1])
 
 
-def cvector_to_json(values):
-    return [complex_to_pair(z) for z in np.asarray(values).ravel()]
-
 def cvector_from_json(obj, where=""):
     if not isinstance(obj, list):
         raise ParseError(f"expected a list of [re, im] pairs at {where}")
@@ -43,9 +42,6 @@ def cvector_from_json(obj, where=""):
         dtype=np.complex128,
     )
 
-
-def cmatrix_to_json(arr):
-    return [cvector_to_json(row) for row in np.asarray(arr)]
 
 def cmatrix_from_json(obj, where=""):
     if not isinstance(obj, list) or not obj:
@@ -71,7 +67,7 @@ def fv_to_json(f: FunctionVector):
     return {
         "patch": patch_to_json(f.grid.patch),
         "quad_order": f.grid.order,
-        "values": cvector_to_json(f.values),
+        "values": complex_to_pair(f.values),
     }
 
 def fv_from_json(obj, where="", grid_cache=None):

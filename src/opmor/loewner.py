@@ -23,7 +23,6 @@ happen here; the dataset is the only input.
 from __future__ import annotations
 
 import hashlib
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +32,7 @@ from . import __version__
 from .funcspace import row_norms
 from .jsonio import complex_to_pair, family_to_json
 from .rom import COND_LIMIT, ReducedModel, real_realization
-from .samples import TangentialDataset, conjugate_transform, to_json
+from .samples import TangentialDataset, conjugate_transform
 
 COND_WARN = 1e8
 
@@ -56,10 +55,19 @@ def _matrices(dataset: TangentialDataset):
 
 
 def dataset_hash(dataset: TangentialDataset) -> str:
-    """sha256 of the dataset's canonical JSON form: the object samples.save
-    writes, encoded compactly with sorted keys."""
-    text = json.dumps(to_json(dataset), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+    """Machine-independent sha256 of a header (each grid's patch bounds and
+    quadrature order, coincidence_tol, the hermite keys sorted by (i, j)),
+    then of sigmas, P, right_values, rhos, Q, left_values and the hermite
+    values in key order as little-endian complex128 bytes. A dataset and
+    the one samples.load reads back from its saved file hash the same."""
+    keys = sorted((int(i), int(j)) for i, j in dataset.hermites)
+    header = [[float(v) for v in (g.patch.x_lo, g.patch.x_hi, g.patch.y_lo, g.patch.y_hi)]
+              + [g.order] for g in (dataset.u_grid, dataset.y_grid)]
+    digest = hashlib.sha256(repr(header + [float(dataset.coincidence_tol), keys]).encode())
+    for arr in (dataset.sigmas, dataset.P, dataset.right_values, dataset.rhos, dataset.Q,
+                dataset.left_values, [dataset.hermites[k] for k in keys]):
+        digest.update(np.asarray(arr, dtype="<c16").tobytes())
+    return digest.hexdigest()
 
 
 def assemble(dataset: TangentialDataset) -> ReducedModel:
@@ -90,8 +98,8 @@ def assemble(dataset: TangentialDataset) -> ReducedModel:
         "dataset_sha256": dataset_hash(dataset),
         "coincidence_tol": dataset.coincidence_tol,
         "cond_E": rom.e_cond,
-        "sigmas": [complex_to_pair(s) for s in dataset.sigmas],
-        "rhos": [complex_to_pair(r) for r in dataset.rhos],
+        "sigmas": complex_to_pair(dataset.sigmas),
+        "rhos": complex_to_pair(dataset.rhos),
         "right_dirs": family_to_json(dataset.P, dataset.u_grid),
         "left_dirs": family_to_json(dataset.Q, dataset.y_grid),
     }

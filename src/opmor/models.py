@@ -122,7 +122,7 @@ class PoleFactorModel:
         s = self._check_point(s)
         coef = self._input_coefficients(p)
         return FunctionVector(
-            self.obs_grid, -self.output_factors.T @ (coef / (s - self.poles) ** 2)
+            self.obs_grid, -(self.output_factors.T @ (coef / (s - self.poles) ** 2))
         )
 
     def simulate(self, u, T, dt):

@@ -130,8 +130,8 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix)
         "kind": "projection",
         "tool_version": __version__,
         "cond_E": rom.e_cond,
-        "sigmas": None if V.points is None else [complex_to_pair(s) for s in V.points],
-        "rhos": None if W.points is None else [complex_to_pair(t) for t in W.points],
+        "sigmas": None if V.points is None else complex_to_pair(V.points),
+        "rhos": None if W.points is None else complex_to_pair(W.points),
     }
     return rom
 

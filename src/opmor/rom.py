@@ -29,7 +29,7 @@ from .errors import (
 from .funcspace import FunctionVector
 from .jsonio import (
     cmatrix_from_json,
-    cmatrix_to_json,
+    complex_to_pair,
     dump_json,
     family_from_json,
     family_to_json,
@@ -203,8 +203,8 @@ def simulate(rom: ReducedModel, u, T, dt):
 def save(rom: ReducedModel, path):
     obj = {
         "r": rom.r,
-        "E": cmatrix_to_json(rom.E),
-        "A": cmatrix_to_json(rom.A),
+        "E": complex_to_pair(rom.E),
+        "A": complex_to_pair(rom.A),
         "b_rows": family_to_json(rom.B, rom.u_grid),
         "c_cols": family_to_json(rom.C, rom.y_grid),
         "provenance": rom.provenance,

@@ -4,7 +4,8 @@ A dataset of order r holds r right samples (sigma_j, p_j, G(sigma_j)[p_j]),
 r left samples (rho_i, q_i, G(rho_i)^+[q_i]) and, for every pair with
 sigma_j = rho_i (within the coincidence tolerance), the Hermite scalar
 <dG/ds(sigma_j)[p_j], q_i>. Downstream assembly consumes nothing but this
-object, so anything the reduction needs must be sampled here.
+object, so anything the reduction needs must be sampled here. ``load``
+reads back bit-exactly what ``save`` writes.
 """
 
 from __future__ import annotations
@@ -233,21 +234,20 @@ def collect(model, sigmas, ps, rhos, qs,
     return ds
 
 
-def to_json(dataset: TangentialDataset) -> dict:
-    """The dataset as the JSON-plain object of the file format, one entry
-    per sample."""
-    return {
+def save(dataset: TangentialDataset, path):
+    dataset.validate()
+    dump_json({
         "r": dataset.r,
         "coincidence_tol": dataset.coincidence_tol,
         "rights": [
-            {"sigma": complex_to_pair(s), "p": p, "value": v}
-            for s, p, v in zip(dataset.sigmas,
+            {"sigma": s, "p": p, "value": v}
+            for s, p, v in zip(complex_to_pair(dataset.sigmas),
                                family_to_json(dataset.P, dataset.u_grid),
                                family_to_json(dataset.right_values, dataset.y_grid))
         ],
         "lefts": [
-            {"rho": complex_to_pair(t), "q": q, "value": v}
-            for t, q, v in zip(dataset.rhos,
+            {"rho": t, "q": q, "value": v}
+            for t, q, v in zip(complex_to_pair(dataset.rhos),
                                family_to_json(dataset.Q, dataset.y_grid),
                                family_to_json(dataset.left_values, dataset.u_grid))
         ],
@@ -255,12 +255,7 @@ def to_json(dataset: TangentialDataset) -> dict:
             {"i": i, "j": j, "value": complex_to_pair(h)}
             for (i, j), h in dataset.hermites.items()
         ],
-    }
-
-
-def save(dataset: TangentialDataset, path):
-    dataset.validate()
-    dump_json(to_json(dataset), path)
+    }, path)
 
 
 def load(path) -> TangentialDataset:

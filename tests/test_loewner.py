@@ -1,5 +1,5 @@
-import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from opmor.heat2d import FullModel, ModalTruncation
 from opmor.loewner import _matrices, assemble, condition_report, dataset_hash
 from opmor.models import RankOneModel
 from opmor.rom import ReducedModel, pole_residue
-from opmor.samples import TangentialDataset, collect, conjugate_transform, save
+from opmor.samples import TangentialDataset, collect, conjugate_transform, load, save
 
 
 def _rights(ds):
@@ -265,22 +265,36 @@ class TestAssembleHeat:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(got).max()
 
     def test_dataset_hash_sensitivity(self, heat):
-        a = collect(heat, [1.0], ["const"], [2.0], ["const"])
-        b = collect(heat, [1.0 + 1e-9], ["const"], [2.0], ["const"])
+        a = collect(heat, [1.0, 3.0], ["const", "mode:1,2"],
+                    [1.0, 2.0], ["const", "mode:2,1"])
+        ((key, h),) = a.hermites.items()
+        grid = a.u_grid
+        variants = [
+            collect(heat, [1.0, 3.0 + 1e-9], ["const", "mode:1,2"],
+                    [1.0, 2.0], ["const", "mode:2,1"]),
+            replace(a, u_grid=QuadratureGrid(grid.patch, grid.order + 1)),
+            replace(a, coincidence_tol=1e-11),
+            replace(a, hermites={key: complex(np.nextafter(h.real, np.inf), h.imag)}),
+        ]
         assert dataset_hash(a) == dataset_hash(a)
-        assert dataset_hash(a) != dataset_hash(b)
+        assert len({dataset_hash(d) for d in [a, *variants]}) == 1 + len(variants)
 
-    def test_dataset_hash_is_sha256_of_saved_file(self, heat, tmp_path):
-        # the hash is defined on the file format: the compact, key-sorted
-        # re-encoding of what samples.save writes (hermite entries included)
-        ds = collect(heat, [1.0, 3.0], ["const", "mode:1,2"],
+    def test_dataset_hash_survives_save_and_load(self, heat, tmp_path):
+        # loading is bit-exact, so a saved file hashes like the dataset it
+        # came from, whatever the order of its hermite entries
+        ds = collect(heat, [1.0, 2.0], ["const", "mode:1,2"],
                      [1.0, 2.0], ["const", "mode:2,1"])
-        assert len(ds.hermites) == 1
+        assert len(ds.hermites) == 2
         path = tmp_path / "data.json"
         save(ds, path)
+        assert dataset_hash(load(path)) == dataset_hash(ds)
         with open(path) as f:
-            text = json.dumps(json.load(f), sort_keys=True, separators=(",", ":"))
-        assert dataset_hash(ds) == hashlib.sha256(text.encode()).hexdigest()
+            obj = json.load(f)
+        obj["hermites"].reverse()
+        with open(path, "w") as f:
+            json.dump(obj, f)
+        assert list(load(path).hermites) == [(1, 1), (0, 0)]
+        assert dataset_hash(load(path)) == dataset_hash(ds)
 
 
 class TestRealRealization:
