@@ -8,7 +8,7 @@ import argparse
 import numpy as np
 
 from opmor.funcspace import Patch, QuadratureGrid
-from opmor.heat2d import FullModel, ModalTruncation, default_quad_order
+from opmor.heat2d import FullModel, default_quad_order
 from opmor.loewner import assemble
 from opmor.projection import (
     build_bases,
@@ -37,7 +37,7 @@ def main():
     model = FullModel(
         QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), order),
         QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), order),
-        ModalTruncation(args.n_modes),
+        args.n_modes,
     )
     rom_data = assemble(collect(model, SIGMAS, RIGHT_DIRS, RHOS, LEFT_DIRS))
     V, W = build_bases(model, SIGMAS, RIGHT_DIRS, RHOS, LEFT_DIRS)

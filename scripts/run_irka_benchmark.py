@@ -8,7 +8,7 @@ import numpy as np
 
 from opmor.funcspace import Patch, QuadratureGrid
 from opmor.h2 import h2_error, h2_norm, optimality_residuals
-from opmor.heat2d import FullModel, ModalTruncation, default_quad_order
+from opmor.heat2d import FullModel, default_quad_order
 from opmor.irka import IrkaConfig, run
 
 
@@ -28,7 +28,7 @@ def main():
     model = FullModel(
         QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), order),
         QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), order),
-        ModalTruncation(args.n_modes),
+        args.n_modes,
     )
     norm = h2_norm(model)
     print(f"benchmark: {model.poles.size} modes, quadrature order {order}, "

@@ -22,7 +22,7 @@ import json
 
 from .errors import ParseError
 from .funcspace import QuadratureGrid
-from .heat2d import FullModel, ModalTruncation, default_quad_order
+from .heat2d import FullModel, default_quad_order
 from .jsonio import pair_to_complex, patch_from_json
 
 
@@ -51,7 +51,7 @@ def build_model(block, where="model") -> FullModel:
     return FullModel(
         QuadratureGrid(con_patch, order),
         QuadratureGrid(obs_patch, order),
-        ModalTruncation(n_modes),
+        n_modes,
     )
 
 

@@ -95,11 +95,12 @@ class QuadratureGrid:
         return f"QuadratureGrid({self.patch!r}, order={self.order})"
 
 
-def _require_same_grid(a, b):
-    if a.grid != b.grid:
-        raise GridMismatchError(
-            f"function vectors live on different grids: {a.grid!r} vs {b.grid!r}"
-        )
+def values_on(f, grid: QuadratureGrid):
+    """Node values of the function vector f, which must live on grid; the
+    one port check of full and reduced models."""
+    if f.grid != grid:
+        raise GridMismatchError(f"function lives on {f.grid!r}, expected {grid!r}")
+    return f.values
 
 
 class FunctionVector:
@@ -133,14 +134,12 @@ class FunctionVector:
     def __add__(self, other):
         if not isinstance(other, FunctionVector):
             return NotImplemented
-        _require_same_grid(self, other)
-        return FunctionVector(self.grid, self.values + other.values)
+        return FunctionVector(self.grid, self.values + values_on(other, self.grid))
 
     def __sub__(self, other):
         if not isinstance(other, FunctionVector):
             return NotImplemented
-        _require_same_grid(self, other)
-        return FunctionVector(self.grid, self.values - other.values)
+        return FunctionVector(self.grid, self.values - values_on(other, self.grid))
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
@@ -162,8 +161,7 @@ def inner_product(f: FunctionVector, g: FunctionVector) -> complex:
     The accumulation order is the grid's fixed node order, so results are
     reproducible bit for bit across runs.
     """
-    _require_same_grid(f, g)
-    return complex(np.sum(f.grid.weights * f.values * np.conj(g.values)))
+    return complex(np.sum(f.grid.weights * f.values * np.conj(values_on(g, f.grid))))
 
 
 def row_norms(rows, grid: QuadratureGrid):

@@ -76,15 +76,19 @@ def _stable_factor_form(system) -> PoleFactorModel:
     return model
 
 
-def _port_grams(model):
+def _grams(U, Y, u_grid, y_grid):
     """(GU, GY) with GU[k,l] = <u_l, u_k>_U and GY[k,l] = <y_k, y_l>_Y for
-    the input and output factors u_k, y_k, cached on the model (its factors
-    are immutable)."""
+    the rows u_k of U on u_grid and y_k of Y on y_grid."""
+    return (np.conj(U) * u_grid.weights) @ U.T, (Y * y_grid.weights) @ np.conj(Y).T
+
+
+def _port_grams(model):
+    """_grams of the input and output factors, cached on the model (its
+    factors are immutable)."""
     cached = getattr(model, "_h2_grams", None)
     if cached is None:
-        U, Y = model.input_factors, model.output_factors
-        cached = ((np.conj(U) * model.con_grid.weights) @ U.T,
-                  (Y * model.obs_grid.weights) @ np.conj(Y).T)
+        cached = _grams(model.input_factors, model.output_factors,
+                        model.con_grid, model.obs_grid)
         model._h2_grams = cached
     return cached
 
@@ -203,37 +207,36 @@ def h2_error(full, rom: ReducedModel) -> float:
     return float(err)
 
 
-def h2_error_quadrature(full, rom: ReducedModel,
-                        quad: FrequencyQuadrature | None = None) -> float:
+def h2_error_quadrature(full, rom: ReducedModel) -> float:
     """Squared H2 distance by direct frequency quadrature of the pointwise
     difference; the independent cross-check for h2_error.
 
     The cross term contracts the full-model factors against the reduced
-    input/output families through the pencil inverse at each node, so the
-    difference is never formed as a dense operator. Without an explicit rule
-    the quadrature doubles its nodes until stable.
+    input/output families through the pencil inverse at each node, formed
+    from the SVD that also checks the pencil there, so the difference is
+    never formed as a dense operator. The quadrature doubles its nodes
+    until stable.
     """
     full = _stable_factor_form(full)
     _stable_factor_form(rom)
     GUb = (full.input_factors * full.con_grid.weights) @ np.conj(rom.B).T
     GYc = (np.conj(full.output_factors) * full.obs_grid.weights) @ rom.C.T
-    GB = (np.conj(rom.B) * rom.u_grid.weights) @ rom.B.T
-    GC = (rom.C * rom.y_grid.weights) @ np.conj(rom.C).T
+    GB, GC = _grams(rom.B, rom.C, rom.u_grid, rom.y_grid)
     lam = full.poles
 
     def integral(rule):
         total = 0.0
         for w, wt in zip(rule.omegas, rule.weights):
             s = 1j * w
-            K = np.linalg.inv(rom._pencil(s))
+            U, sv, Vh = rom._pencil(s)
+            K = (Vh.conj().T / sv) @ U.conj().T
             alpha = 1.0 / (s - lam)
             cross = np.conj(alpha) @ np.sum((GYc @ K) * GUb, axis=1)
             hs_sq_rom = np.real(np.sum((K @ GB @ K.conj().T) * GC))
             total += wt * (_hs_sq_factor(full, s) + hs_sq_rom - 2.0 * cross.real)
         return total / (2.0 * np.pi)
 
-    value = integral(quad) if quad is not None else _converged_quadrature(integral)
-    return max(float(value), 0.0)
+    return max(float(_converged_quadrature(integral)), 0.0)
 
 
 @dataclass

@@ -22,23 +22,10 @@ tests use partial sums of these series as tail budgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .funcspace import QuadratureGrid, restrict_mode
-from .models import DEFAULT_POLE_TOL, PoleFactorModel
-
-
-@dataclass(frozen=True)
-class ModalTruncation:
-    """Number of retained modes per axis (n_max^2 total)."""
-
-    n_max: int
-
-    def __post_init__(self):
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
-            raise ValueError(f"n_max must be a positive integer, got {self.n_max!r}")
+from .models import PoleFactorModel
 
 
 def eigenvalue(n: int, m: int) -> float:
@@ -61,23 +48,21 @@ class FullModel(PoleFactorModel):
     con_grid, obs_grid
         Quadrature grids over the control and observation patches; they
         define U = L2(con patch) and Y = L2(obs patch).
-    truncation
-        ModalTruncation with the per-axis mode count.
-    pole_tol
-        Minimum allowed distance from an evaluation point to the retained
-        spectrum.
+    n_max
+        Number of retained modes per axis (n_max^2 in total), a positive
+        integer.
     """
 
-    def __init__(self, con_grid: QuadratureGrid, obs_grid: QuadratureGrid,
-                 truncation: ModalTruncation, pole_tol: float = DEFAULT_POLE_TOL):
-        n_max = truncation.n_max
+    def __init__(self, con_grid: QuadratureGrid, obs_grid: QuadratureGrid, n_max: int):
+        if not isinstance(n_max, (int, np.integer)) or n_max < 1:
+            raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
         modes = np.array([(n, m) for n in range(1, n_max + 1)
                           for m in range(1, n_max + 1)], dtype=int)
         eigs = np.array([eigenvalue(n, m) for n, m in modes])
         phi_con = np.array([restrict_mode(n, m, con_grid).values for n, m in modes])
         phi_obs = np.array([restrict_mode(n, m, obs_grid).values for n, m in modes])
-        super().__init__(con_grid, obs_grid, eigs, phi_con, phi_obs, pole_tol)
-        self.truncation = truncation
+        super().__init__(con_grid, obs_grid, eigs, phi_con, phi_obs)
+        self.n_max = n_max
         self.modes = modes
         self.modes.setflags(write=False)
 
@@ -86,6 +71,6 @@ class FullModel(PoleFactorModel):
 
     def __repr__(self):
         return (
-            f"FullModel(n_max={self.truncation.n_max}, "
+            f"FullModel(n_max={self.n_max}, "
             f"con={self.con_grid.patch!r}, obs={self.obs_grid.patch!r})"
         )

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridMismatchError, PoleProximityError
-from .funcspace import FunctionVector, QuadratureGrid
+from .errors import PoleProximityError
+from .funcspace import FunctionVector, QuadratureGrid, values_on
 
 DEFAULT_POLE_TOL = 1e-8
 
@@ -87,11 +87,7 @@ class PoleFactorModel:
         return s
 
     def _input_coefficients(self, p: FunctionVector):
-        if p.grid != self.con_grid:
-            raise GridMismatchError(
-                f"direction lives on {p.grid!r}, model input space uses {self.con_grid!r}"
-            )
-        return self._in_pair @ p.values
+        return self._in_pair @ values_on(p, self.con_grid)
 
     def apply_tf(self, s, p: FunctionVector) -> FunctionVector:
         """G(s)[p] over the observation grid."""
@@ -107,11 +103,7 @@ class PoleFactorModel:
         Satisfies <apply_tf(s, p), q>_Y = <p, apply_tf_adjoint(s, q)>_U.
         """
         s = self._check_point(s)
-        if q.grid != self.obs_grid:
-            raise GridMismatchError(
-                f"direction lives on {q.grid!r}, model output space uses {self.obs_grid!r}"
-            )
-        coef = self._out_pair @ q.values
+        coef = self._out_pair @ values_on(q, self.obs_grid)
         return FunctionVector(
             self.con_grid,
             self.input_factors.T @ (np.conj(1.0 / (s - self.poles)) * coef),
@@ -166,13 +158,12 @@ class RankOneModel(PoleFactorModel):
     order one.
     """
 
-    def __init__(self, p: FunctionVector, q: FunctionVector, pole,
-                 pole_tol: float = DEFAULT_POLE_TOL):
+    def __init__(self, p: FunctionVector, q: FunctionVector, pole):
         if p.norm() == 0 or q.norm() == 0:
             raise ValueError("rank-1 factors must be nonzero")
         super().__init__(
             p.grid, q.grid, [pole],
-            p.values[np.newaxis, :], q.values[np.newaxis, :], pole_tol,
+            p.values[np.newaxis, :], q.values[np.newaxis, :],
         )
         self.p = p.copy()
         self.q = q.copy()

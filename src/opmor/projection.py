@@ -35,6 +35,7 @@ from .rom import ReducedModel, real_realization
 from .samples import conjugate_transform, make_direction
 
 RANK_RTOL = 1e-13
+PROJECTOR_TRIALS = 20  # random vectors per idempotency and kernel test
 
 
 @dataclass
@@ -177,10 +178,10 @@ class ProjectorReport:
 
 
 def projector_check(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix, s,
-                    trials: int = 20, seed: int = 0) -> ProjectorReport:
+                    seed: int = 0) -> ProjectorReport:
     """Numerical test of the skew projector P(s) = V (W (s - A) V)^{-1} W (s - A).
 
-    Applies P twice to random modal vectors and reports the worst relative
+    Applies P twice to PROJECTOR_TRIALS random modal vectors and reports the worst relative
     idempotency defect, the worst deviation of P v from v over the columns
     of V (range property), and the worst norm of P on random vectors first
     projected into its kernel {x : W (s - A) x = 0} (complement
@@ -198,7 +199,7 @@ def projector_check(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix, 
     rng = np.random.default_rng(seed)
     idem = 0.0
     kern = 0.0
-    for _ in range(trials):
+    for _ in range(PROJECTOR_TRIALS):
         x = rng.standard_normal(lam.size) + 1j * rng.standard_normal(lam.size)
         px = apply_p(x)
         idem = max(idem, np.linalg.norm(apply_p(px) - px) / np.linalg.norm(px))

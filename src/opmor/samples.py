@@ -148,7 +148,7 @@ def conjugate_closure(points, dirs):
     for s, d in zip(pts, dirs):
         if s.imag == 0:
             continue
-        if not any(abs(t - np.conj(s)) < 1e-14 * max(1.0, abs(s)) for t in out_p):
+        if not any(abs(t - np.conj(s)) < CONJUGATE_RTOL * max(1.0, abs(s)) for t in out_p):
             out_p.append(np.conj(s))
             out_d.append(d.conj())
     return out_p, out_d
@@ -179,9 +179,7 @@ def conjugate_transform(points, rows, grid):
     return T
 
 
-def collect(model, sigmas, ps, rhos, qs,
-            coincidence_tol=DEFAULT_COINCIDENCE_TOL,
-            conjugate_close=False) -> TangentialDataset:
+def collect(model, sigmas, ps, rhos, qs, conjugate_close=False) -> TangentialDataset:
     """Evaluate the full model at the requested tangential data.
 
     Directions may be FunctionVectors or config spec strings. Points must be
@@ -214,11 +212,11 @@ def collect(model, sigmas, ps, rhos, qs,
     left_values = np.array([model.apply_tf_adjoint(t, q).values for t, q in zip(rhos, qs)])
     hermites = {
         (i, j): inner_product(model.apply_tf_derivative(sigmas[j], ps[j]), qs[i])
-        for i, j in coincident_pairs(sigmas, rhos, coincidence_tol)
+        for i, j in coincident_pairs(sigmas, rhos, DEFAULT_COINCIDENCE_TOL)
     }
     for i, j in coincident_pairs(sigmas, rhos, NEAR_COINCIDENCE_WARN):
         sig, rho = complex(sigmas[j]), complex(rhos[i])
-        if abs(sig - rho) >= coincidence_tol:
+        if abs(sig - rho) >= DEFAULT_COINCIDENCE_TOL:
             warnings.warn(
                 f"points sigma_{j}={sig} and rho_{i}={rho} are {abs(sig - rho):.2e} "
                 "apart: nearly coincident data is ill-conditioned",
@@ -228,7 +226,7 @@ def collect(model, sigmas, ps, rhos, qs,
         np.array(sigmas, dtype=np.complex128), np.array(rhos, dtype=np.complex128),
         np.array([p.values for p in ps]), right_values,
         np.array([q.values for q in qs]), left_values,
-        model.con_grid, model.obs_grid, hermites, coincidence_tol,
+        model.con_grid, model.obs_grid, hermites,
     )
     ds.validate()
     return ds

@@ -15,7 +15,7 @@ from opmor.h2 import (
     hs_norm,
     optimality_residuals,
 )
-from opmor.heat2d import FullModel, ModalTruncation, eigenvalue
+from opmor.heat2d import FullModel, eigenvalue
 from opmor.loewner import assemble
 from opmor.models import RankOneModel
 from opmor.rom import pole_residue
@@ -58,7 +58,7 @@ def heat():
     return FullModel(
         QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 20),
         QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 20),
-        ModalTruncation(8),
+        8,
     )
 
 

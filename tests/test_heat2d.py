@@ -12,18 +12,16 @@ from opmor.funcspace import (
     inner_product,
     restrict_mode,
 )
-from opmor.heat2d import FullModel, ModalTruncation, default_quad_order, eigenvalue
+from opmor.heat2d import FullModel, default_quad_order, eigenvalue
 from opmor.models import phi1, phi2
 
 CON = Patch(0.1, 0.3, 0.1, 0.3)
 OBS = Patch(0.6, 0.8, 0.6, 0.8)
 
 
-def make_model(n_max, order=None, **kw):
+def make_model(n_max, order=None):
     order = order or default_quad_order(n_max)
-    return FullModel(
-        QuadratureGrid(CON, order), QuadratureGrid(OBS, order), ModalTruncation(n_max), **kw
-    )
+    return FullModel(QuadratureGrid(CON, order), QuadratureGrid(OBS, order), n_max)
 
 
 def random_direction(grid, seed):
@@ -50,8 +48,8 @@ class TestEigenvalue:
             eigenvalue(0, 1)
 
     def test_truncation_validation(self):
-        with pytest.raises(ValueError):
-            ModalTruncation(0)
+        with pytest.raises(ValueError, match="n_max"):
+            FullModel(QuadratureGrid(CON, 16), QuadratureGrid(OBS, 16), 0)
 
 
 class TestModelStructure:

@@ -7,7 +7,7 @@ from opmor import h2, irka
 from opmor.errors import ConditioningError, PoleProximityError
 from opmor.funcspace import Patch, QuadratureGrid, constant
 from opmor.h2 import h2_error, optimality_residuals
-from opmor.heat2d import FullModel, ModalTruncation
+from opmor.heat2d import FullModel
 from opmor.irka import ConvergenceReport, IrkaConfig, run, step
 from opmor.models import RankOneModel
 
@@ -37,7 +37,7 @@ def heat():
     return FullModel(
         QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 28),
         QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 28),
-        ModalTruncation(12),
+        12,
     )
 
 
@@ -160,7 +160,7 @@ class TestRun:
         heat = FullModel(
             QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 20),
             QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 20),
-            ModalTruncation(6),
+            6,
         )
         rom, report = run(heat, IrkaConfig(r=6, max_iter=15))
         for iterate in report.point_history:
@@ -233,7 +233,7 @@ def test_evaluations_and_diagonalizations_per_sweep(monkeypatch):
     full = FullModel(
         QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 16),
         QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 16),
-        ModalTruncation(6),
+        6,
     )
     counts = dict.fromkeys(["pole_residue", "apply_tf", "apply_tf_adjoint",
                             "apply_tf_derivative"], 0)

@@ -6,7 +6,8 @@ import pytest
 
 from opmor.errors import ConditioningError, DatasetError
 from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
-from opmor.heat2d import FullModel, ModalTruncation
+from opmor.h2 import interpolation_residuals
+from opmor.heat2d import FullModel
 from opmor.loewner import _matrices, assemble, condition_report, dataset_hash
 from opmor.models import RankOneModel
 from opmor.rom import ReducedModel, pole_residue
@@ -43,7 +44,7 @@ def heat():
     return FullModel(
         QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 20),
         QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 20),
-        ModalTruncation(8),
+        8,
     )
 
 
@@ -60,7 +61,7 @@ def readme():
     model = FullModel(
         QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 28),
         QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 28),
-        ModalTruncation(12),
+        12,
     )
     return model, collect(model, README_SIGMAS, README_RIGHT_DIRS,
                           README_RHOS, README_LEFT_DIRS)
@@ -326,6 +327,17 @@ class TestRealRealization:
         ds = collect(model, README_SIGMAS[:3], README_RIGHT_DIRS[:3],
                      README_RHOS[:3], README_LEFT_DIRS[:3])
         assert np.any(assemble(ds).E.imag)
+
+    def test_interpolation_residuals_at_round_off(self, readme):
+        # applying the pencil's SVD factors reproduces the README data to
+        # about 7e-14; an explicit pencil inverse (LU or SVD-formed) reads
+        # 2.4e-12 or more here and fails, though it passes the mpmath bound below
+        model, ds = readme
+        ps = [FunctionVector(ds.u_grid, p) for p in ds.P]
+        qs = [FunctionVector(ds.y_grid, q) for q in ds.Q]
+        residuals = interpolation_residuals(model, assemble(ds), ds.sigmas, ps,
+                                            ds.rhos, qs, sorted(ds.hermites))
+        assert max(np.max(res) for res in residuals) <= 1000 * np.finfo(float).eps
 
     def test_pencil_solve_matches_50_digit_evaluation(self, readme):
         # the pencil solve is backward stable, so its error at a sample point

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from opmor import h2
 from opmor.errors import ConditioningError, ParseError, SemiSimplicityError, SingularSolveError
 from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
-from opmor.heat2d import FullModel, ModalTruncation
+from opmor.heat2d import FullModel
 from opmor.jsonio import fv_to_json
 from opmor.loewner import assemble
 from opmor.models import RankOneModel
@@ -45,12 +46,16 @@ def toy_rom(toy):
 
 
 @pytest.fixture(scope="module")
-def heat_rom():
-    heat = FullModel(
+def heat():
+    return FullModel(
         QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 20),
         QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 20),
-        ModalTruncation(6),
+        6,
     )
+
+
+@pytest.fixture(scope="module")
+def heat_rom(heat):
     ds = collect(
         heat,
         [1.0, 3.0, 8.0],
@@ -129,6 +134,51 @@ class TestEvalTf:
             a = heat_rom.eval_tf(s, p)
             b = twisted.eval_tf(s, p)
             assert (a - b).norm() < 1e-10 * a.norm()
+
+
+def spy_linalg(monkeypatch):
+    """Count np.linalg.svd calls from here on; solve, inv and lstsq raise."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pencil's SVD factors must do the solve")
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for name in ("solve", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    return calls
+
+
+class TestOneFactorization:
+    @pytest.mark.parametrize("method", ["eval_tf", "eval_tf_adjoint", "eval_tf_derivative"])
+    def test_one_svd_per_point_evaluation(self, heat_rom, method, monkeypatch):
+        grid = heat_rom.y_grid if method == "eval_tf_adjoint" else heat_rom.u_grid
+        calls = spy_linalg(monkeypatch)
+        for k, s in enumerate([0.5, 4.0 + 3.0j, 20.0]):
+            getattr(heat_rom, method)(s, random_fv(grid, k))
+            assert calls == [(heat_rom.r, heat_rom.r)] * (k + 1)
+
+    def test_h2_quadrature_one_svd_per_node(self, heat, heat_rom, monkeypatch):
+        # the stability check goes through pole_residue, which diagonalizes
+        # with its own solves; only the quadrature's work is counted here
+        pr = pole_residue(heat_rom)
+        monkeypatch.setattr(h2, "pole_residue", lambda rom: pr)
+        nodes = []
+
+        class CountedRule(h2.FrequencyQuadrature):
+            def __init__(self, n_nodes):
+                super().__init__(n_nodes)
+                nodes.append(n_nodes)
+
+        monkeypatch.setattr(h2, "FrequencyQuadrature", CountedRule)
+        calls = spy_linalg(monkeypatch)
+        assert h2.h2_error_quadrature(heat, heat_rom) > 0
+        assert len(nodes) >= 2 and len(calls) == sum(nodes)
 
 
 class TestPoleResidue:
@@ -256,7 +306,7 @@ class TestSimulate:
         heat = FullModel(
             QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 16),
             QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 16),
-            ModalTruncation(1),
+            1,
         )
         rom = assemble(collect(heat, [1.0], ["const"], [2.0], ["const"]))
         dt = 0.01

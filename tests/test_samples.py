@@ -5,7 +5,8 @@ import pytest
 
 from opmor.errors import DatasetError, GridMismatchError, ParseError, PoleProximityError
 from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
-from opmor.heat2d import FullModel, ModalTruncation, eigenvalue
+from opmor.heat2d import FullModel, eigenvalue
+from opmor.loewner import assemble
 from opmor.samples import (
     TangentialDataset,
     collect,
@@ -22,7 +23,7 @@ def model():
     return FullModel(
         QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 16),
         QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 16),
-        ModalTruncation(4),
+        4,
     )
 
 
@@ -121,6 +122,17 @@ class TestConjugateClosure:
         )
         assert ds.r == 3
         assert paired(ds)
+
+    def test_partner_within_conjugate_rtol_not_duplicated(self, model):
+        # 5e-13 off the exact conjugate is a partner under CONJUGATE_RTOL, the
+        # test conjugate_transform applies, so closure appends nothing
+        ds = collect(
+            model, [1.0, 5.0 + 1.0j, 5.0 - 1.0j + 5e-13j], ["mode:1,1", "mode:2,1", "mode:2,1"],
+            [1.5, 2.5, 3.5], ["mode:1,1", "mode:1,2", "const"], conjugate_close=True,
+        )
+        assert ds.r == 3
+        assert paired(ds)
+        assert not np.any(assemble(ds).E.imag)
 
     def test_open_set_detected(self, model):
         ds = collect(model, [3.0 + 2.0j], ["random:5"], [3.0 + 2.0j], ["random:6"])
@@ -235,7 +247,7 @@ class TestRoundTrip:
         coarse = FullModel(
             QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 12),
             QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 12),
-            ModalTruncation(4),
+            4,
         )
         ds = collect(coarse, [1.0], ["const"], [2.0], ["const"])
         path = tmp_path / "ds.json"
