@@ -8,6 +8,7 @@ import argparse
 import numpy as np
 
 from opmor.funcspace import Patch, QuadratureGrid
+from opmor.h2 import interpolation_residuals
 from opmor.heat2d import FullModel, default_quad_order
 from opmor.loewner import assemble
 from opmor.projection import (
@@ -16,7 +17,7 @@ from opmor.projection import (
     sylvester_residual_left,
     sylvester_residual_right,
 )
-from opmor.samples import collect, make_direction
+from opmor.samples import collect
 
 SIGMAS = [1.0, 2.0, 5.0 + 1.0j, 5.0 - 1.0j]
 RHOS = [1.5, 2.5, 6.0 + 1.0j, 6.0 - 1.0j]
@@ -39,7 +40,8 @@ def main():
         QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), order),
         args.n_modes,
     )
-    rom_data = assemble(collect(model, SIGMAS, RIGHT_DIRS, RHOS, LEFT_DIRS))
+    dataset = collect(model, SIGMAS, RIGHT_DIRS, RHOS, LEFT_DIRS)
+    rom_data = assemble(dataset)
     V, W = build_bases(model, SIGMAS, RIGHT_DIRS, RHOS, LEFT_DIRS)
     rom_proj = project_explicit(model, V, W)
 
@@ -52,11 +54,7 @@ def main():
     _, rel_l = sylvester_residual_left(model, W, RHOS, LEFT_DIRS)
     print(f"Sylvester residuals: right {rel_r:.3e}, left {rel_l:.3e}")
 
-    worst = 0.0
-    for s, spec in zip(SIGMAS, RIGHT_DIRS):
-        p = make_direction(spec, model.con_grid)
-        want = model.apply_tf(s, p)
-        worst = max(worst, (rom_data.eval_tf(s, p) - want).norm() / want.norm())
+    worst = np.concatenate(interpolation_residuals(rom_data, dataset)).max()
     print(f"worst interpolation residual at the sample points: {worst:.3e}")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import rom as rom_mod
 from . import samples
-from .config import build_model, load_run_config, parse_point
+from .config import build_model, finite_point, integer, load_run_config, parse_point
 from .errors import DatasetError, ParseError, ReductionError
 from .funcspace import FunctionVector
 from .h2 import (
@@ -115,19 +115,15 @@ def cmd_validate(args) -> int:
     rhos = [parse_point(s, "provenance.rhos") for s in prov["rhos"]]
     P, p_grid = family_from_json(prov["right_dirs"], "provenance.right_dirs", cache)
     Q, q_grid = family_from_json(prov["left_dirs"], "provenance.left_dirs", cache)
-    ps = [FunctionVector(p_grid, v) for v in P]
-    qs = [FunctionVector(q_grid, v) for v in Q]
-    coincidence_tol = float(prov.get("coincidence_tol", samples.DEFAULT_COINCIDENCE_TOL))
-    pairs = samples.coincident_pairs(sigmas, rhos, coincidence_tol)
-    right, left, herm = interpolation_residuals(model, rom, sigmas, ps, rhos, qs, pairs)
-    checks = (
-        [{"kind": "right", "point": complex_to_pair(s), "residual": float(res)}
-         for s, res in zip(sigmas, right)]
-        + [{"kind": "left", "point": complex_to_pair(t), "residual": float(res)}
-           for t, res in zip(rhos, left)]
-        + [{"kind": "hermite", "point": complex_to_pair(sigmas[j]), "residual": float(res)}
-           for (_, j), res in zip(pairs, herm)]
-    )
+    if (p_grid, q_grid) != (model.con_grid, model.obs_grid):
+        raise ParseError("provenance directions do not live on the config model's grids")
+    dataset = samples.collect(model, sigmas, P, rhos, Q)
+    right, left, herm = interpolation_residuals(rom, dataset)
+    points = {"right": dataset.sigmas, "left": dataset.rhos,
+              "hermite": [dataset.sigmas[j] for _, j in sorted(dataset.hermites)]}
+    checks = [{"kind": kind, "point": complex_to_pair(s), "residual": float(res)}
+              for kind, residuals in zip(points, (right, left, herm))
+              for s, res in zip(points[kind], residuals)]
     worst = max(c["residual"] for c in checks)
     passed = worst <= tol
     report = _report_base(cfg)
@@ -186,28 +182,24 @@ def cmd_h2(args) -> int:
 # ---------------------------------------------------------------- irka
 
 def _seeded_specs(dirs, base_seed):
-    out = []
-    for k, d in enumerate(dirs):
-        if isinstance(d, str) and d == "random":
-            d = f"random:{base_seed + k}"
-        out.append(d)
-    return out
+    return [f"random:{base_seed + k}" if d == "random" else d for k, d in enumerate(dirs)]
 
 
 def cmd_irka(args) -> int:
     cfg = load_run_config(args.config)
     model = build_model(cfg.model_block)
     block = cfg.task("irka")
-    order = args.order if args.order is not None else block.get("order")
-    if order is None:
-        raise ParseError("irka needs --order or an 'order' entry in the irka block")
+
+    def option(arg, key, default=None):
+        return arg if arg is not None else block.get(key, default)
+
     if args.init is not None:
-        init_points = [complex(tok) for tok in args.init.split(",")]
+        init_points = [finite_point(complex(tok), "--init") for tok in args.init.split(",")]
     elif "init_points" in block:
         init_points = [parse_point(s, "irka.init_points") for s in block["init_points"]]
     else:
         init_points = None
-    seed = args.seed if args.seed is not None else int(block.get("seed", 0))
+    seed = integer(option(args.seed, "seed", 0), "--seed or irka.seed", allow_zero=True)
     right_dirs = block.get("init_right_dirs")
     left_dirs = block.get("init_left_dirs")
     if right_dirs is not None:
@@ -215,12 +207,13 @@ def cmd_irka(args) -> int:
     if left_dirs is not None:
         left_dirs = _seeded_specs(left_dirs, seed + 1000)
     irka_config = IrkaConfig(
-        r=int(order),
+        r=integer(option(args.order, "order"), "--order or irka.order"),
         init_points=init_points,
         init_right_dirs=right_dirs,
         init_left_dirs=left_dirs,
-        max_iter=args.max_iter if args.max_iter is not None else int(block.get("max_iter", IrkaConfig.max_iter)),
-        point_tol=args.tol if args.tol is not None else float(block.get("point_tol", IrkaConfig.point_tol)),
+        max_iter=integer(option(args.max_iter, "max_iter", IrkaConfig.max_iter),
+                         "--max-iter or irka.max_iter", allow_zero=True),
+        point_tol=float(option(args.tol, "point_tol", IrkaConfig.point_tol)),
     )
     reduced, conv = irka_run(model, irka_config)
 

@@ -15,6 +15,7 @@ always be traced to the exact file that produced it.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 from dataclasses import dataclass
 
@@ -26,11 +27,28 @@ from .heat2d import FullModel, default_quad_order
 from .jsonio import pair_to_complex, patch_from_json
 
 
+def finite_point(z: complex, where: str) -> complex:
+    """z, or a ParseError naming the field when a part is NaN or infinite."""
+    if not cmath.isfinite(z):
+        raise ParseError(f"{where} must be a finite point, got {z}")
+    return z
+
+
 def parse_point(obj, where=""):
-    """Interpolation points appear as plain reals or [re, im] pairs."""
+    """Interpolation points appear as plain reals or [re, im] pairs, both
+    finite."""
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
-    return pair_to_complex(obj, where)
+        obj = [obj, 0.0]
+    return finite_point(pair_to_complex(obj, where), where)
+
+
+def integer(value, where: str, allow_zero: bool = False) -> int:
+    """value, or a ParseError naming the field unless it is a positive int
+    (zero too with ``allow_zero``); a bool is not an int here."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < (0 if allow_zero else 1):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise ParseError(f"{where} must be a {kind} integer, got {value!r}")
+    return value
 
 
 def build_model(block, where="model") -> FullModel:
@@ -40,14 +58,10 @@ def build_model(block, where="model") -> FullModel:
     try:
         con_patch = patch_from_json(block["con_patch"], f"{where}.con_patch")
         obs_patch = patch_from_json(block["obs_patch"], f"{where}.obs_patch")
-        n_modes = block["n_modes"]
+        n_modes = integer(block["n_modes"], f"{where}.n_modes")
     except KeyError as e:
         raise ParseError(f"{where} is missing required key {e}") from e
-    if not isinstance(n_modes, int) or n_modes < 1:
-        raise ParseError(f"{where}.n_modes must be a positive integer, got {n_modes!r}")
-    order = block.get("quad_order", default_quad_order(n_modes))
-    if not isinstance(order, int) or order < 1:
-        raise ParseError(f"{where}.quad_order must be a positive integer, got {order!r}")
+    order = integer(block.get("quad_order", default_quad_order(n_modes)), f"{where}.quad_order")
     return FullModel(
         QuadratureGrid(con_patch, order),
         QuadratureGrid(obs_patch, order),

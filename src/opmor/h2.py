@@ -26,6 +26,7 @@ from .errors import ReductionError, StabilityError
 from .funcspace import FunctionVector, inner_product
 from .models import PoleFactorModel
 from .rom import ReducedModel, pole_residue
+from .samples import TangentialDataset, collect
 
 DEFAULT_NODES = 256
 MAX_NODES = 4096
@@ -261,37 +262,32 @@ def _rel_gap(got: FunctionVector, want: FunctionVector) -> float:
     return (got - want).norm() / want.norm()
 
 
-def interpolation_residuals(full, rom: ReducedModel, sigmas, ps, rhos, qs, pairs):
-    """Relative residuals of the tangential interpolation conditions of rom
-    against full, each normalized by the full-model magnitude.
-
-    Returns three arrays: the transfer values G(sigma_j)[p_j], the adjoint
-    values G(rho_i)^+[q_i], and for each (i, j) in ``pairs`` the bilinear
-    derivative <dG/ds(sigma_j)[p_j], q_i>.
-    """
-    right = np.array([_rel_gap(rom.eval_tf(s, p), full.apply_tf(s, p))
-                      for s, p in zip(sigmas, ps)])
-    left = np.array([_rel_gap(rom.eval_tf_adjoint(t, q), full.apply_tf_adjoint(t, q))
-                     for t, q in zip(rhos, qs)])
-    herm = np.zeros(len(pairs))
-    for k, (i, j) in enumerate(pairs):
-        want = inner_product(full.apply_tf_derivative(sigmas[j], ps[j]), qs[i])
-        got = inner_product(rom.eval_tf_derivative(sigmas[j], ps[j]), qs[i])
-        herm[k] = abs(got - want) / abs(want)
+def interpolation_residuals(rom: ReducedModel, dataset: TangentialDataset):
+    """Relative residuals of rom against the tangential data it should
+    interpolate, each normalized by the data's magnitude; only rom is
+    evaluated. Returns three arrays: the transfer values at (sigma_j, p_j),
+    the adjoint values at (rho_i, q_i) and the Hermite scalars, in sorted
+    (i, j) key order."""
+    ps = [FunctionVector(dataset.u_grid, p) for p in dataset.P]
+    qs = [FunctionVector(dataset.y_grid, q) for q in dataset.Q]
+    right = np.array([_rel_gap(rom.eval_tf(s, p), FunctionVector(dataset.y_grid, v))
+                      for s, p, v in zip(dataset.sigmas, ps, dataset.right_values)])
+    left = np.array([_rel_gap(rom.eval_tf_adjoint(t, q), FunctionVector(dataset.u_grid, v))
+                     for t, q, v in zip(dataset.rhos, qs, dataset.left_values)])
+    herm = np.array([abs(inner_product(rom.eval_tf_derivative(dataset.sigmas[j], ps[j]), qs[i])
+                         - dataset.hermites[i, j]) / abs(dataset.hermites[i, j])
+                     for i, j in sorted(dataset.hermites)])
     return right, left, herm
 
 
 def optimality_residuals(full, rom: ReducedModel) -> OptimalityReport:
     """How far the reduced model is from stationarity of the squared H2
-    error: the interpolation residuals at the mirror points -conj(lam_i),
-    with transfer values along b_i, adjoint values along c_i, and the
-    bilinear derivative along the pair (b_i, c_i)."""
+    error: the interpolation residuals against the full model's data at the
+    mirror points -conj(lam_i), with transfer values along b_i, adjoint
+    values along c_i, and the bilinear derivative along the pair (b_i, c_i)."""
     _stable_factor_form(full)
     pr = _stable_factor_form(rom)
     mirrors = -np.conj(pr.poles)
-    bs = [FunctionVector(pr.con_grid, b) for b in pr.input_factors]
-    cs = [FunctionVector(pr.obs_grid, c) for c in pr.output_factors]
-    pairs = [(i, i) for i in range(mirrors.size)]
     eps_right, eps_left, eps_herm = interpolation_residuals(
-        full, rom, mirrors, bs, mirrors, cs, pairs)
+        rom, collect(full, mirrors, pr.input_factors, mirrors, pr.output_factors))
     return OptimalityReport(pr.poles, eps_left, eps_right, eps_herm)

@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ReductionError
-from .funcspace import FunctionVector
 from .h2 import h2_error, optimality_residuals
 from .loewner import assemble
 from .rom import ReducedModel, pole_residue
-from .samples import collect, make_direction
+from .samples import collect, directions
 
 
 @dataclass
@@ -47,15 +46,15 @@ class IrkaConfig:
     def validate(self) -> None:
         if self.r < 1:
             raise ValueError(f"order must be at least 1, got {self.r}")
-        if self.point_tol <= 0:
-            raise ValueError("point_tol must be positive")
+        if not 0 < self.point_tol < np.inf:
+            raise ValueError(f"point_tol must be positive and finite, got {self.point_tol}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         if self.init_points is not None:
             if len(self.init_points) != self.r:
                 raise ValueError("init_points length must equal the order")
-            if any(complex(s).real <= 0 for s in self.init_points):
-                raise ValueError("init points must lie in the open right half-plane")
+            if not all(np.isfinite(s) and complex(s).real > 0 for s in self.init_points):
+                raise ValueError("init_points must be finite and lie in the open right half-plane")
 
 
 @dataclass
@@ -82,22 +81,19 @@ def step(full, points, right_dirs, left_dirs):
     """One interpolation sweep: Hermite data at the given points, reduced
     model assembly, and mirror-point/residue-direction extraction.
 
-    Returns (rom, next_points, next_right_dirs, next_left_dirs). Unstable
-    reduced poles are reflected into the left half-plane before mirroring,
-    which re-targets the point itself.
+    Returns (rom, next_points, next_right_dirs, next_left_dirs), the
+    directions as stacked node-value rows. Unstable reduced poles are
+    reflected into the left half-plane before mirroring, which re-targets
+    the point itself.
     """
-    dataset = collect(full, points, right_dirs, points, left_dirs)
-    rom = assemble(dataset)
+    rom = assemble(collect(full, points, right_dirs, points, left_dirs))
     pr = pole_residue(rom)
     poles = pr.poles.copy()
     unstable = poles.real >= 0
     poles[unstable] = -np.conj(poles[unstable])
     mirrors = -np.conj(poles)
-    right_vals = _fix_phase(pr.input_factors, rom.u_grid)
-    left_vals = _fix_phase(pr.output_factors, rom.y_grid)
-    next_right = [FunctionVector(rom.u_grid, v) for v in right_vals]
-    next_left = [FunctionVector(rom.y_grid, v) for v in left_vals]
-    return rom, [complex(s) for s in mirrors], next_right, next_left
+    return (rom, [complex(s) for s in mirrors], _fix_phase(pr.input_factors, rom.u_grid),
+            _fix_phase(pr.output_factors, rom.y_grid))
 
 
 def _matched_movement(old, new) -> float:
@@ -107,18 +103,15 @@ def _matched_movement(old, new) -> float:
     return float(max(cost.min(axis=1).max(), cost.min(axis=0).max()))
 
 
-def _default_init(full, config: IrkaConfig):
-    if config.r > full.poles.size:
-        raise ValueError(
-            f"default init needs r <= {full.poles.size} retained modes, got r = {config.r}"
-        )
+def _default_init(full, r):
+    """Points log-spaced over the decade above the slowest pole and the
+    lowest r retained input/output factors, phase-fixed."""
+    if r > full.poles.size:
+        raise ValueError(f"default init needs r <= {full.poles.size} retained modes, got r = {r}")
     slowest = np.min(np.abs(full.poles))
-    points = [complex(s) for s in np.logspace(0.0, np.log10(10.0 * slowest), config.r)]
-    rights = [FunctionVector(full.con_grid, v)
-              for v in _fix_phase(full.input_factors[:config.r], full.con_grid)]
-    lefts = [FunctionVector(full.obs_grid, v)
-             for v in _fix_phase(full.output_factors[:config.r], full.obs_grid)]
-    return points, rights, lefts
+    return (np.logspace(0.0, np.log10(10.0 * slowest), r),
+            _fix_phase(full.input_factors[:r], full.con_grid),
+            _fix_phase(full.output_factors[:r], full.obs_grid))
 
 
 def run(full, config: IrkaConfig):
@@ -130,19 +123,12 @@ def run(full, config: IrkaConfig):
     returns rom None). Deterministic for a fixed config.
     """
     config.validate()
-    needs_default = (config.init_points is None or config.init_right_dirs is None
-                     or config.init_left_dirs is None)
-    defaults = _default_init(full, config) if needs_default else (None, None, None)
-    points = [complex(s) for s in (config.init_points if config.init_points is not None
-                                   else defaults[0])]
-    rights = (
-        [make_direction(d, full.con_grid) for d in config.init_right_dirs]
-        if config.init_right_dirs is not None else defaults[1]
-    )
-    lefts = (
-        [make_direction(d, full.obs_grid) for d in config.init_left_dirs]
-        if config.init_left_dirs is not None else defaults[2]
-    )
+    given = (config.init_points, config.init_right_dirs, config.init_left_dirs)
+    defaults = _default_init(full, config.r) if any(g is None for g in given) else given
+    points, rights, lefts = (d if g is None else g for g, d in zip(given, defaults))
+    points = [complex(s) for s in points]
+    rights = directions(rights, full.con_grid, "right")
+    lefts = directions(lefts, full.obs_grid, "left")
     if len(rights) != config.r or len(lefts) != config.r:
         raise ValueError("direction lists must match the order")
 

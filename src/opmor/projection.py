@@ -32,7 +32,7 @@ from .errors import ConditioningError
 from .heat2d import FullModel
 from .jsonio import complex_to_pair
 from .rom import ReducedModel, real_realization
-from .samples import conjugate_transform, make_direction
+from .samples import conjugate_transform, directions
 
 RANK_RTOL = 1e-13
 PROJECTOR_TRIALS = 20  # random vectors per idempotency and kernel test
@@ -42,14 +42,14 @@ PROJECTOR_TRIALS = 20  # random vectors per idempotency and kernel test
 class ModalBasisMatrix:
     """Modal-coordinate basis: columns of V (modes x r) or rows of W (r x modes).
 
-    ``points`` and ``directions`` record where the basis came from; they are
-    None for synthetic (e.g. random test) bases.
+    ``points`` and ``directions`` (stacked node-value rows) record where the
+    basis came from; they are None for synthetic (e.g. random test) bases.
     """
 
     kind: str  # "V" or "W"
     coeffs: np.ndarray
     points: Optional[np.ndarray] = None
-    directions: Optional[list] = None
+    directions: Optional[np.ndarray] = None
 
     @property
     def r(self) -> int:
@@ -75,31 +75,19 @@ class ModalBasisMatrix:
 def build_bases(model: FullModel, sigmas, ps, rhos, qs):
     """Modal trial/test bases for the given tangential data.
 
-    Directions may be FunctionVectors or config spec strings. Points must be
-    off the retained spectrum; duplicate (point, direction) pairs produce a
+    Directions are anything samples.directions accepts. Points must be off
+    the retained spectrum; duplicate (point, direction) pairs produce a
     rank-deficiency error.
     """
     if len(sigmas) != len(ps) or len(rhos) != len(qs):
         raise ValueError("point and direction lists must have equal length")
-    ps = [make_direction(p, model.con_grid) for p in ps]
-    qs = [make_direction(q, model.obs_grid) for q in qs]
+    P = directions(ps, model.con_grid, "right")
+    Q = directions(qs, model.obs_grid, "left")
+    sigmas = np.array([model._check_point(s) for s in sigmas], dtype=complex)
+    rhos = np.array([model._check_point(t) for t in rhos], dtype=complex)
     lam = model.poles.real
-    v_cols = []
-    for s, p in zip(sigmas, ps):
-        model._check_point(s)
-        if p.norm() == 0:
-            raise ValueError("right direction is zero")
-        v_cols.append(model._input_coefficients(p) / (complex(s) - lam))
-    w_rows = []
-    obs_w = model.obs_grid.weights
-    for t, q in zip(rhos, qs):
-        model._check_point(t)
-        if q.norm() == 0:
-            raise ValueError("left direction is zero")
-        cq = (model.output_factors * obs_w) @ np.conj(q.values)
-        w_rows.append(cq / (complex(t) - lam))
-    V = ModalBasisMatrix("V", np.array(v_cols).T, np.asarray(sigmas, dtype=complex), ps)
-    W = ModalBasisMatrix("W", np.array(w_rows), np.asarray(rhos, dtype=complex), qs)
+    V = ModalBasisMatrix("V", model._in_pair @ P.T / (sigmas - lam[:, None]), sigmas, P)
+    W = ModalBasisMatrix("W", np.conj(Q @ model._out_pair.T) / (rhos[:, None] - lam), rhos, Q)
     V.check_rank()
     W.check_rank()
     return V, W
@@ -122,8 +110,8 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix)
     B = np.conj(W.coeffs) @ model.input_factors
     C = V.coeffs.T @ model.output_factors
     if V.points is not None and W.points is not None:
-        TL, TR = (conjugate_transform(M.points, np.array([d.values for d in M.directions]), grid)
-                  for M, grid in ((W, model.obs_grid), (V, model.con_grid)))
+        TL = conjugate_transform(W.points, W.directions, model.obs_grid)
+        TR = conjugate_transform(V.points, V.directions, model.con_grid)
         if TL is not None and TR is not None:
             E, A, B, C = real_realization(E, A, B, C, TL, TR)
     rom = ReducedModel(E, A, B, C, model.con_grid, model.obs_grid)
@@ -137,17 +125,10 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix)
     return rom
 
 
-def _input_columns(model: FullModel, ps):
-    if len(ps) == 0:
-        return np.zeros((model.poles.size, 0), dtype=np.complex128)
-    return np.array([model._input_coefficients(p) for p in ps]).T
-
-
 def sylvester_residual_right(model: FullModel, V: ModalBasisMatrix, sigmas, ps):
     """Frobenius residual of V diag(sigma) - A V = [B p_1 ... B p_r] in modal
     coordinates; returns (absolute, relative)."""
-    ps = [make_direction(p, model.con_grid) for p in ps]
-    B = _input_columns(model, ps)
+    B = model._in_pair @ directions(ps, model.con_grid, "right").T
     if B.size == 0:
         return 0.0, 0.0
     lam = model.poles.real
@@ -159,11 +140,9 @@ def sylvester_residual_right(model: FullModel, V: ModalBasisMatrix, sigmas, ps):
 def sylvester_residual_left(model: FullModel, W: ModalBasisMatrix, rhos, qs):
     """Frobenius residual of diag(rho) W - W A = [C* q_1; ...; C* q_r] in the
     same pairing coordinates as W; returns (absolute, relative)."""
-    qs = [make_direction(q, model.obs_grid) for q in qs]
-    if len(qs) == 0:
+    C = np.conj(directions(qs, model.obs_grid, "left") @ model._out_pair.T)
+    if C.size == 0:
         return 0.0, 0.0
-    obs_w = model.obs_grid.weights
-    C = np.array([(model.output_factors * obs_w) @ np.conj(q.values) for q in qs])
     lam = model.poles.real
     R = np.diag(np.asarray(rhos, dtype=complex)) @ W.coeffs - W.coeffs * lam[None, :] - C
     absres = float(np.linalg.norm(R))

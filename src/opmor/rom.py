@@ -83,8 +83,10 @@ class ReducedModel:
                 f"need {r} input representers on {u_grid.size} nodes and {r} output "
                 f"columns on {y_grid.size} nodes, got shapes {B.shape} and {C.shape}"
             )
-        e_cond = float(np.linalg.cond(E))
-        if not np.isfinite(e_cond) or e_cond > COND_LIMIT:
+        # one SVD gives cond(E) and ||E||_2; a non-finite E counts as singular
+        sv = np.linalg.svd(E, compute_uv=False) if np.isfinite(E).all() else np.array([np.nan])
+        e_cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+        if e_cond > COND_LIMIT:
             raise ConditioningError(
                 f"E has condition estimate {e_cond:.3e} above limit {COND_LIMIT:.1e}; "
                 "the chosen points/directions do not yield a usable pencil",
@@ -102,7 +104,7 @@ class ReducedModel:
         # weight-folded pairing rows for the input and output maps
         self._b_pair = np.conj(B) * u_grid.weights
         self._c_pair = np.conj(C) * y_grid.weights
-        self._e_norm = float(np.linalg.norm(E, 2))
+        self._e_norm = float(sv[0])
         self._a_norm = float(np.linalg.norm(A, 2))
         for arr in (self.E, self.A, self.B, self.C, self._b_pair, self._c_pair):
             arr.setflags(write=False)

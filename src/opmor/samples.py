@@ -23,6 +23,7 @@ from .funcspace import (
     inner_product,
     restrict_mode,
     row_norms,
+    values_on,
 )
 from .jsonio import (
     complex_to_pair,
@@ -140,18 +141,33 @@ def make_direction(spec, grid: QuadratureGrid) -> FunctionVector:
     raise ValueError(f"unknown direction spec {spec!r}")
 
 
-def conjugate_closure(points, dirs):
-    """Append conjugates of strictly complex points (and directions) that lack
-    a conjugate partner, preserving input order."""
+def directions(specs, grid: QuadratureGrid, side: str) -> np.ndarray:
+    """Stacked node-value rows (r x nodes) of tangential directions on grid:
+    an r x nodes array passes through, other entries are spec strings (see
+    make_direction) or FunctionVectors on grid. Raises ValueError for a
+    shape mismatch or a zero direction, naming the side and index."""
+    if not isinstance(specs, np.ndarray):
+        specs = [values_on(make_direction(d, grid), grid) for d in specs]
+    rows = np.asarray(specs, dtype=np.complex128).reshape(len(specs), grid.size)
+    zero = np.flatnonzero(row_norms(rows, grid) == 0)
+    if zero.size:
+        raise ValueError(f"{side} direction {zero[0]} is zero")
+    return rows
+
+
+def conjugate_closure(points, rows):
+    """Append conjugates of strictly complex points (and their direction
+    rows) that lack a conjugate partner, preserving input order; returns
+    (point list, row array)."""
     pts = [complex(s) for s in points]
-    out_p, out_d = list(pts), [d for d in dirs]
-    for s, d in zip(pts, dirs):
+    out_p, out_d = list(pts), list(rows)
+    for s, d in zip(pts, rows):
         if s.imag == 0:
             continue
         if not any(abs(t - np.conj(s)) < CONJUGATE_RTOL * max(1.0, abs(s)) for t in out_p):
             out_p.append(np.conj(s))
-            out_d.append(d.conj())
-    return out_p, out_d
+            out_d.append(np.conj(d))
+    return out_p, np.array(out_d)
 
 
 def conjugate_transform(points, rows, grid):
@@ -182,8 +198,8 @@ def conjugate_transform(points, rows, grid):
 def collect(model, sigmas, ps, rhos, qs, conjugate_close=False) -> TangentialDataset:
     """Evaluate the full model at the requested tangential data.
 
-    Directions may be FunctionVectors or config spec strings. Points must be
-    off the spectrum (the model's pole tolerance applies). With
+    Directions are anything ``directions`` accepts. Points must be off the
+    spectrum (the model's pole tolerance applies). With
     ``conjugate_close=True``, missing conjugate partners are appended to both
     point lists before sampling.
     """
@@ -191,23 +207,19 @@ def collect(model, sigmas, ps, rhos, qs, conjugate_close=False) -> TangentialDat
         raise ValueError("point and direction lists must have equal length")
     if len(sigmas) == 0 or len(rhos) == 0:
         raise ValueError("need at least one right and one left point")
-    ps = [make_direction(p, model.con_grid) for p in ps]
-    qs = [make_direction(q, model.obs_grid) for q in qs]
+    P = directions(ps, model.con_grid, "right")
+    Q = directions(qs, model.obs_grid, "left")
     if conjugate_close:
-        sigmas, ps = conjugate_closure(sigmas, ps)
-        rhos, qs = conjugate_closure(rhos, qs)
+        sigmas, P = conjugate_closure(sigmas, P)
+        rhos, Q = conjugate_closure(rhos, Q)
     if len(sigmas) != len(rhos):
         raise ValueError(
             f"right and left point counts differ ({len(sigmas)} vs {len(rhos)}); "
             "square data is required for assembly"
         )
-    for j, p in enumerate(ps):
-        if p.norm() == 0:
-            raise ValueError(f"right direction {j} is zero")
-    for i, q in enumerate(qs):
-        if q.norm() == 0:
-            raise ValueError(f"left direction {i} is zero")
 
+    ps = [FunctionVector(model.con_grid, p) for p in P]
+    qs = [FunctionVector(model.obs_grid, q) for q in Q]
     right_values = np.array([model.apply_tf(s, p).values for s, p in zip(sigmas, ps)])
     left_values = np.array([model.apply_tf_adjoint(t, q).values for t, q in zip(rhos, qs)])
     hermites = {
@@ -224,9 +236,7 @@ def collect(model, sigmas, ps, rhos, qs, conjugate_close=False) -> TangentialDat
             )
     ds = TangentialDataset(
         np.array(sigmas, dtype=np.complex128), np.array(rhos, dtype=np.complex128),
-        np.array([p.values for p in ps]), right_values,
-        np.array([q.values for q in qs]), left_values,
-        model.con_grid, model.obs_grid, hermites,
+        P, right_values, Q, left_values, model.con_grid, model.obs_grid, hermites,
     )
     ds.validate()
     return ds

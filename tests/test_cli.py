@@ -8,6 +8,7 @@ import pytest
 
 from opmor import __version__
 from opmor.cli import main
+from opmor.models import PoleFactorModel
 
 # n_modes 6 keeps the sampled ROM stable so the h2 subcommand has a
 # well-posed error to report; at 4 the Loewner pencil picks up a spurious
@@ -89,6 +90,19 @@ class TestPipeline:
             [1.0, 0.0], [5.0, 1.0], [5.0, -1.0],
         ]
         assert all(c["residual"] <= 1e-8 for c in checks)
+
+    def test_validate_samples_the_full_model_once_per_check(self, pipeline, monkeypatch):
+        # r transfer, r adjoint and one derivative per Hermite pair, as collect
+        # samples them: 4, 4 and 3 for the sample block
+        counts = dict.fromkeys(["apply_tf", "apply_tf_adjoint", "apply_tf_derivative"], 0)
+        for kind in counts:
+            def counted(self, *args, _kind=kind, _original=getattr(PoleFactorModel, kind)):
+                counts[_kind] += 1
+                return _original(self, *args)
+            monkeypatch.setattr(PoleFactorModel, kind, counted)
+        assert main(["validate", "--config", pipeline["config"],
+                     "--rom", pipeline["rom"], "--tol", "1e-8"]) == 0
+        assert counts == {"apply_tf": 4, "apply_tf_adjoint": 4, "apply_tf_derivative": 3}
 
     def test_mixed_grid_rom_is_bad_input(self, pipeline):
         # one port row, then one provenance direction, moved to another grid
@@ -186,6 +200,54 @@ class TestErrorExits:
         cfg.write_text(json.dumps({"model": MODEL_BLOCK}))
         assert main(["sample", "--config", str(cfg),
                      "--out", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("where, point", [
+        ("sigmas", float("nan")), ("sigmas", [5.0, float("inf")]), ("rhos", float("-inf")),
+    ])
+    def test_non_finite_sample_point(self, tmp_path, capsys, where, point):
+        points = list(SAMPLE_BLOCK[where])
+        points[1] = point
+        cfg = write_config(tmp_path / "c.json", sample=dict(SAMPLE_BLOCK, **{where: points}))
+        out = tmp_path / "x.json"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+        assert f"sample.{where}[1] must be a finite point" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("irka, args, field", [
+        ({}, ["--init", "1,nan"], "--init"),
+        ({"init_points": [1.0, float("nan")]}, [], "irka.init_points"),
+    ])
+    def test_non_finite_irka_point(self, tmp_path, capsys, irka, args, field):
+        cfg = write_config(tmp_path / "c.json", irka=dict(irka, order=2))
+        assert main(["irka", "--config", cfg, *args,
+                     "--out", str(tmp_path / "x.json")]) == 2
+        assert f"{field} must be a finite point" in capsys.readouterr().err
+
+    def test_nan_point_tol(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", irka={"order": 2, "point_tol": float("nan")})
+        assert main(["irka", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+        assert "point_tol must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, field", [
+        ({"n_modes": True}, "model.n_modes"), ({"n_modes": 6.0}, "model.n_modes"),
+        ({"quad_order": True}, "model.quad_order"), ({"quad_order": 0}, "model.quad_order"),
+    ])
+    def test_bad_model_integer(self, tmp_path, capsys, model, field):
+        cfg = write_config(tmp_path / "c.json", model=dict(MODEL_BLOCK, **model))
+        assert main(["h2", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+        assert f"{field} must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("irka, field", [
+        ({"order": 2.5}, "irka.order"), ({"order": True}, "irka.order"),
+        ({"order": 2, "max_iter": 2.5}, "irka.max_iter"),
+        ({"order": 2, "max_iter": True}, "irka.max_iter"),
+        ({"order": 2, "max_iter": -1}, "irka.max_iter"),
+        ({"order": 2, "seed": 1.5}, "irka.seed"), ({"order": 2, "seed": -1}, "irka.seed"),
+    ])
+    def test_bad_irka_integer(self, tmp_path, capsys, irka, field):
+        cfg = write_config(tmp_path / "c.json", irka=irka)
+        assert main(["irka", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+        assert f"{field} must be a" in capsys.readouterr().err
 
     def test_unknown_subcommand_usage_exit(self, config):
         with pytest.raises(SystemExit) as exc:

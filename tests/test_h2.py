@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from opmor.h2 import (
     h2_norm,
     h2_norm_report,
     hs_norm,
+    interpolation_residuals,
     optimality_residuals,
 )
 from opmor.heat2d import FullModel, eigenvalue
@@ -299,3 +302,43 @@ class TestOptimalityResiduals:
             want = heat.apply_tf(mu, b)
             gap = (heat_rom.eval_tf(mu, b) - want).norm() / want.norm()
             assert report.eps_right[k] == pytest.approx(gap, rel=1e-12)
+
+
+class TestInterpolationResiduals:
+    """The checker compares the reduced model against the stored data, so a
+    perturbation of one stored value reads back as that entry's residual."""
+
+    EPS = 1e-4
+
+    @pytest.fixture(scope="class")
+    def data(self, heat):
+        ds = collect(heat, [1.0, 2.0, 4.0], ["mode:1,1", "mode:1,2", "const"],
+                     [1.0, 2.5, 4.0], ["mode:1,1", "mode:2,2", "const"])
+        return assemble(ds), ds
+
+    def test_own_data_at_round_off(self, data):
+        rom, ds = data
+        right, left, herm = interpolation_residuals(rom, ds)
+        assert right.size == left.size == 3
+        assert sorted(ds.hermites) == [(0, 0), (2, 2)] and herm.size == 2
+        assert max(right.max(), left.max(), herm.max()) < 1e-10
+
+    @pytest.mark.parametrize("kind, index", [(0, 1), (1, 2), (2, 1)])
+    def test_perturbed_value_reads_back(self, data, kind, index):
+        # a stored value scaled by 1 + eps sits eps/(1 + eps) away, relatively,
+        # from what the reduced model reproduces to round-off
+        rom, ds = data
+        ds = dataclasses.replace(ds, right_values=ds.right_values.copy(),
+                                 left_values=ds.left_values.copy(),
+                                 hermites=dict(ds.hermites))
+        if kind == 0:
+            ds.right_values[index] *= 1 + self.EPS
+        elif kind == 1:
+            ds.left_values[index] *= 1 + self.EPS
+        else:
+            ds.hermites[sorted(ds.hermites)[index]] *= 1 + self.EPS
+        residuals = interpolation_residuals(rom, ds)
+        assert residuals[kind][index] == pytest.approx(self.EPS / (1 + self.EPS), rel=1e-6)
+        others = np.delete(np.concatenate(residuals),
+                           sum(r.size for r in residuals[:kind]) + index)
+        assert others.max() < 1e-10

@@ -5,7 +5,7 @@ import pytest
 
 from opmor import h2, irka
 from opmor.errors import ConditioningError, PoleProximityError
-from opmor.funcspace import Patch, QuadratureGrid, constant
+from opmor.funcspace import Patch, QuadratureGrid, constant, row_norms
 from opmor.h2 import h2_error, optimality_residuals
 from opmor.heat2d import FullModel
 from opmor.irka import ConvergenceReport, IrkaConfig, run, step
@@ -55,9 +55,20 @@ class TestIrkaConfig:
         with pytest.raises(ValueError, match="point_tol"):
             IrkaConfig(r=1, point_tol=0.0).validate()
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # NaN used to pass (NaN <= 0 is False) and then never converge
+        with pytest.raises(ValueError, match="point_tol must be positive and finite"):
+            IrkaConfig(r=1, point_tol=tol).validate()
+
     def test_rejects_left_half_plane_init(self):
         with pytest.raises(ValueError, match="right half-plane"):
             IrkaConfig(r=1, init_points=[-1.0]).validate()
+
+    @pytest.mark.parametrize("bad", [float("nan"), complex(1.0, float("inf"))])
+    def test_rejects_non_finite_init(self, bad):
+        with pytest.raises(ValueError, match="init_points must be finite"):
+            IrkaConfig(r=2, init_points=[1.0, bad]).validate()
 
     def test_rejects_wrong_init_length(self):
         with pytest.raises(ValueError, match="length"):
@@ -73,7 +84,10 @@ class TestStep:
         )
         assert abs(next_points[0] - 1.0) < 1e-9
         assert rom.r == 1
-        assert next_rights[0].norm() == pytest.approx(1.0, rel=1e-12)
+        # the next directions are stacked unit-norm rows, one per point
+        assert next_rights.shape == (1, toy.con_grid.size)
+        assert next_lefts.shape == (1, toy.obs_grid.size)
+        assert row_norms(next_rights, toy.con_grid)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_unstable_pole_is_reflected(self, grids):
         bad = RankOneModel(unit_const(grids[0]), unit_const(grids[1]), 0.5)

@@ -332,11 +332,8 @@ class TestRealRealization:
         # applying the pencil's SVD factors reproduces the README data to
         # about 7e-14; an explicit pencil inverse (LU or SVD-formed) reads
         # 2.4e-12 or more here and fails, though it passes the mpmath bound below
-        model, ds = readme
-        ps = [FunctionVector(ds.u_grid, p) for p in ds.P]
-        qs = [FunctionVector(ds.y_grid, q) for q in ds.Q]
-        residuals = interpolation_residuals(model, assemble(ds), ds.sigmas, ps,
-                                            ds.rhos, qs, sorted(ds.hermites))
+        _, ds = readme
+        residuals = interpolation_residuals(assemble(ds), ds)
         assert max(np.max(res) for res in residuals) <= 1000 * np.finfo(float).eps
 
     def test_pencil_solve_matches_50_digit_evaluation(self, readme):

@@ -9,9 +9,9 @@ from opmor.funcspace import (
     Patch,
     QuadratureGrid,
     constant,
-    inner_product,
     restrict_mode,
 )
+from opmor.h2 import interpolation_residuals
 from opmor.heat2d import FullModel, eigenvalue
 from opmor.loewner import assemble
 from opmor.projection import (
@@ -155,31 +155,31 @@ class TestProjectExplicit:
 
 
 class TestOneSidedInterpolation:
+    # each check compares the projected model against the full model's data
+    # at the directions the bases recorded
     def test_right_interpolation_for_any_test_basis(self, heat):
         V, _ = build_bases(heat, POINTS, RIGHT_DIRS, POINTS, LEFT_DIRS)
         W = ModalBasisMatrix("W", random_rows(4, heat.poles.size, seed=7))
         rom = project_explicit(heat, V, W)
-        for s, p in zip(POINTS, V.directions):
-            want = heat.apply_tf(s, p)
-            got = rom.eval_tf(s, p)
-            assert (got - want).norm() < 1e-8 * want.norm()
+        right, _, _ = interpolation_residuals(
+            rom, collect(heat, POINTS, V.directions, POINTS, LEFT_DIRS))
+        assert np.all(right < 1e-8)
 
     def test_left_interpolation_for_any_trial_basis(self, heat):
         _, W = build_bases(heat, POINTS, RIGHT_DIRS, POINTS, LEFT_DIRS)
         V = ModalBasisMatrix("V", random_rows(heat.poles.size, 4, seed=11))
         rom = project_explicit(heat, V, W)
-        for t, q in zip(POINTS, W.directions):
-            want = heat.apply_tf_adjoint(t, q)
-            got = rom.eval_tf_adjoint(t, q)
-            assert (got - want).norm() < 1e-8 * want.norm()
+        _, left, _ = interpolation_residuals(
+            rom, collect(heat, POINTS, RIGHT_DIRS, POINTS, W.directions))
+        assert np.all(left < 1e-8)
 
     def test_hermite_condition_with_both_bases(self, heat):
         V, W = build_bases(heat, POINTS, RIGHT_DIRS, POINTS, LEFT_DIRS)
         rom = project_explicit(heat, V, W)
-        for s, p, q in zip(POINTS, V.directions, W.directions):
-            want = inner_product(heat.apply_tf_derivative(s, p), q)
-            got = inner_product(rom.eval_tf_derivative(s, p), q)
-            assert abs(got - want) < 1e-6 * abs(want)
+        _, _, herm = interpolation_residuals(
+            rom, collect(heat, POINTS, V.directions, POINTS, W.directions))
+        assert herm.size == len(POINTS)
+        assert np.all(herm < 1e-6)
 
 
 class TestSylvesterResiduals:

@@ -264,6 +264,30 @@ class TestConditioning:
             )
         assert ei.value.cond_estimate == pytest.approx(1e13, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_singular_or_non_finite_e_rejected(self, bad):
+        ports = ([random_fv(U_GRID, 1).values] * 2, [random_fv(Y_GRID, 3).values] * 2)
+        with pytest.raises(ConditioningError) as ei:
+            ReducedModel(np.diag([1.0, bad]), -np.eye(2), *ports, U_GRID, Y_GRID)
+        assert ei.value.cond_estimate == np.inf
+
+    def test_one_svd_of_e(self, heat_rom, monkeypatch):
+        # cond(E) and ||E||_2 are read off one singular-value decomposition;
+        # only ||A||_2 still goes through np.linalg.norm
+        calls = spy_linalg(monkeypatch)
+        norm = np.linalg.norm
+
+        def norm_of_a(x, *args):
+            assert not np.array_equal(x, heat_rom.E)
+            return norm(x, *args)
+
+        monkeypatch.setattr(np.linalg, "cond", None)
+        monkeypatch.setattr(np.linalg, "norm", norm_of_a)
+        rom = ReducedModel(heat_rom.E, heat_rom.A, heat_rom.B, heat_rom.C,
+                           heat_rom.u_grid, heat_rom.y_grid)
+        assert calls == [heat_rom.E.shape]
+        assert rom.e_cond == heat_rom.e_cond
+
 
 class TestStability:
     def test_stable(self, toy_rom):

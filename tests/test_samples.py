@@ -12,6 +12,7 @@ from opmor.samples import (
     collect,
     conjugate_closure,
     conjugate_transform,
+    directions,
     load,
     make_direction,
     save,
@@ -52,6 +53,30 @@ class TestDirections:
     def test_bad_specs(self, model, bad):
         with pytest.raises(ValueError):
             make_direction(bad, model.con_grid)
+
+    def test_specs_and_vectors_become_rows(self, model):
+        f = make_direction("random:3", model.con_grid)
+        rows = directions(["const", f], model.con_grid, "right")
+        assert rows.shape == (2, model.con_grid.size)
+        np.testing.assert_array_equal(rows[0], make_direction("const", model.con_grid).values)
+        np.testing.assert_array_equal(rows[1], f.values)
+        assert directions([], model.con_grid, "right").shape == (0, model.con_grid.size)
+
+    def test_rows_pass_through(self, model):
+        rows = directions(["mode:1,1", "random:4"], model.con_grid, "right")
+        np.testing.assert_array_equal(directions(rows, model.con_grid, "right"), rows)
+        with pytest.raises(ValueError):
+            directions(rows[:, :-1], model.con_grid, "right")
+
+    def test_zero_row_named_by_side(self, model):
+        rows = directions(["const", "const"], model.obs_grid, "left")
+        rows[1] = 0.0
+        with pytest.raises(ValueError, match="left direction 1 is zero"):
+            directions(rows, model.obs_grid, "left")
+
+    def test_vector_on_another_grid(self, model):
+        with pytest.raises(GridMismatchError):
+            directions([constant(model.obs_grid)], model.con_grid, "right")
 
 
 class TestCollect:
@@ -104,16 +129,19 @@ def paired(ds):
 class TestConjugateClosure:
     def test_closure_appends_conjugates(self, model):
         pts = [1.0, 2.0 + 1.0j]
-        dirs = [make_direction("random:1", model.con_grid) for _ in pts]
-        out_p, out_d = conjugate_closure(pts, dirs)
+        rows = directions(["random:1", "random:1"], model.con_grid, "right")
+        out_p, out_d = conjugate_closure(pts, rows)
         assert out_p == [1.0, 2.0 + 1.0j, 2.0 - 1.0j]
-        np.testing.assert_array_equal(out_d[2].values, np.conj(out_d[1].values))
+        assert out_d.shape == (3, model.con_grid.size)
+        np.testing.assert_array_equal(out_d[:2], rows)
+        np.testing.assert_array_equal(out_d[2], np.conj(out_d[1]))
 
     def test_closed_set_unchanged(self, model):
         pts = [2.0 + 1.0j, 2.0 - 1.0j]
-        d = make_direction("random:2", model.con_grid)
-        out_p, out_d = conjugate_closure(pts, [d, d.conj()])
+        d = directions(["random:2"], model.con_grid, "right")[0]
+        out_p, out_d = conjugate_closure(pts, np.array([d, np.conj(d)]))
         assert out_p == pts
+        np.testing.assert_array_equal(out_d, [d, np.conj(d)])
 
     def test_collect_with_closure_is_structurally_closed(self, model):
         ds = collect(
