@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from . import rom as rom_mod
 from . import samples
-from .config import build_model, finite_point, integer, load_run_config, parse_point
+from .config import (build_model, finite_point, integer, load_run_config, parse_point,
+                     positive_float)
 from .errors import DatasetError, ParseError, ReductionError
 from .funcspace import FunctionVector
 from .h2 import (
@@ -102,7 +103,8 @@ def cmd_validate(args) -> int:
     cfg = load_run_config(args.config)
     model = build_model(cfg.model_block)
     rom = rom_mod.load(args.rom)
-    tol = args.tol if args.tol is not None else float(cfg.task("validate").get("tol", 1e-8))
+    tol = args.tol if args.tol is not None else cfg.task("validate").get("tol", 1e-8)
+    tol = positive_float(tol, "--tol or validate.tol")
     prov = rom.provenance
     needed = {"sigmas", "rhos", "right_dirs", "left_dirs"}
     if prov.get("kind") != "loewner" or not needed <= set(prov):
@@ -213,7 +215,8 @@ def cmd_irka(args) -> int:
         init_left_dirs=left_dirs,
         max_iter=integer(option(args.max_iter, "max_iter", IrkaConfig.max_iter),
                          "--max-iter or irka.max_iter", allow_zero=True),
-        point_tol=float(option(args.tol, "point_tol", IrkaConfig.point_tol)),
+        point_tol=positive_float(option(args.tol, "point_tol", IrkaConfig.point_tol),
+                                 "--tol or irka.point_tol"),
     )
     reduced, conv = irka_run(model, irka_config)
 

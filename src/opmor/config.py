@@ -51,6 +51,15 @@ def integer(value, where: str, allow_zero: bool = False) -> int:
     return value
 
 
+def positive_float(value, where: str) -> float:
+    """float(value), or a ParseError naming the field unless value is a
+    finite positive int or float; a bool or a string is not a number here."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 < value < float("inf")):
+        raise ParseError(f"{where} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 def build_model(block, where="model") -> FullModel:
     """Heat benchmark model from its config block."""
     if not isinstance(block, dict):

@@ -41,10 +41,6 @@ class Patch:
                 f"the closed unit square, got {self}"
             )
 
-    @property
-    def area(self) -> float:
-        return (self.x_hi - self.x_lo) * (self.y_hi - self.y_lo)
-
 
 def _gauss_segment(lo, hi, order):
     """Gauss-Legendre nodes and weights on [lo, hi]."""
@@ -122,12 +118,6 @@ class FunctionVector:
         self.grid = grid
         self.values = values
 
-    def copy(self):
-        return FunctionVector(self.grid, self.values.copy())
-
-    def conj(self):
-        return FunctionVector(self.grid, np.conj(self.values))
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.grid.weights * np.abs(self.values) ** 2)))
 
@@ -148,9 +138,6 @@ class FunctionVector:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return FunctionVector(self.grid, -self.values)
-
     def __repr__(self):
         return f"FunctionVector(grid={self.grid!r}, norm={self.norm():.3e})"
 
@@ -170,8 +157,8 @@ def row_norms(rows, grid: QuadratureGrid):
     return np.sqrt(np.abs(rows) ** 2 @ grid.weights)
 
 
-def constant(grid: QuadratureGrid, value=1.0) -> FunctionVector:
-    return FunctionVector(grid, np.full(grid.size, value, dtype=np.complex128))
+def constant(grid: QuadratureGrid) -> FunctionVector:
+    return FunctionVector(grid, np.ones(grid.size, dtype=np.complex128))
 
 
 def restrict_mode(n: int, m: int, grid: QuadratureGrid) -> FunctionVector:
@@ -186,12 +173,3 @@ def restrict_mode(n: int, m: int, grid: QuadratureGrid) -> FunctionVector:
     y = grid.nodes[:, 1]
     return FunctionVector(grid, 2.0 * np.sin(n * np.pi * x) * np.sin(m * np.pi * y))
 
-
-def mode_patch_coefficient(p: FunctionVector, n: int, m: int) -> complex:
-    """Coefficient <1_patch p, phi_nm> of the zero-extended p against a mode.
-
-    Since the mode is real this is just the weighted node sum of p times the
-    mode over p's own patch.
-    """
-    phi = restrict_mode(n, m, p.grid).values
-    return complex(np.sum(p.grid.weights * p.values * phi))

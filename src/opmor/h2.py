@@ -51,10 +51,6 @@ class FrequencyQuadrature:
         for arr in (self.omegas, self.weights):
             arr.setflags(write=False)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.omegas.size
-
     def integrate(self, values):
         """Integral over the real line of a sampled integrand."""
         return np.asarray(values) @ self.weights
@@ -66,14 +62,18 @@ def _factor_form(system) -> PoleFactorModel:
     return pole_residue(system) if isinstance(system, ReducedModel) else system
 
 
+def _require_stable(poles) -> None:
+    """Raise StabilityError unless every pole is in the open left half-plane."""
+    worst = float(np.max(np.real(poles)))
+    if worst >= 0:
+        raise StabilityError(f"model has a pole with Re = {worst:.3e} >= 0; "
+                             "the frequency integral diverges")
+
+
 def _stable_factor_form(system) -> PoleFactorModel:
     """_factor_form, with every pole in the open left half-plane."""
     model = _factor_form(system)
-    worst = float(np.max(model.poles.real))
-    if worst >= 0:
-        raise StabilityError(
-            f"model has a pole with Re = {worst:.3e} >= 0; the frequency integral diverges"
-        )
+    _require_stable(model.poles)
     return model
 
 
@@ -216,10 +216,11 @@ def h2_error_quadrature(full, rom: ReducedModel) -> float:
     input/output families through the pencil inverse at each node, formed
     from the SVD that also checks the pencil there, so the difference is
     never formed as a dense operator. The quadrature doubles its nodes
-    until stable.
+    until stable. Stability is read from the eigenvalues of the pencil, not
+    from the pole-residue form this oracle cross-checks.
     """
     full = _stable_factor_form(full)
-    _stable_factor_form(rom)
+    _require_stable(np.linalg.eigvals(np.linalg.solve(rom.E, rom.A)))
     GUb = (full.input_factors * full.con_grid.weights) @ np.conj(rom.B).T
     GYc = (np.conj(full.output_factors) * full.obs_grid.weights) @ rom.C.T
     GB, GC = _grams(rom.B, rom.C, rom.u_grid, rom.y_grid)

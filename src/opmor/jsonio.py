@@ -70,20 +70,16 @@ def fv_to_json(f: FunctionVector):
         "values": complex_to_pair(f.values),
     }
 
-def fv_from_json(obj, where="", grid_cache=None):
+def fv_from_json(obj, where, grid_cache):
     if not isinstance(obj, dict) or not {"patch", "quad_order", "values"} <= set(obj):
         raise ParseError(f"expected a function vector object at {where}")
     patch = patch_from_json(obj["patch"], f"{where}.patch")
     order = obj["quad_order"]
     if not isinstance(order, int) or order < 1:
         raise ParseError(f"bad quad_order at {where}: {order!r}")
-    key = (patch, order)
-    if grid_cache is not None and key in grid_cache:
-        grid = grid_cache[key]
-    else:
-        grid = QuadratureGrid(patch, order)
-        if grid_cache is not None:
-            grid_cache[key] = grid
+    if (patch, order) not in grid_cache:
+        grid_cache[patch, order] = QuadratureGrid(patch, order)
+    grid = grid_cache[patch, order]
     values = cvector_from_json(obj["values"], f"{where}.values")
     if values.size != grid.size:
         raise ParseError(
@@ -96,10 +92,11 @@ def family_to_json(rows, grid: QuadratureGrid):
     """Serialized function vectors, one per row of node values on ``grid``."""
     return [fv_to_json(FunctionVector(grid, row)) for row in rows]
 
-def family_from_json(objs, where, grid_cache=None, key=None):
+def family_from_json(objs, where, grid_cache, key=None):
     """(rows, grid): the node values of a serialized function family stacked
-    into one array, and the single grid they all live on. With ``key``, the
-    vectors are the ``key`` fields of the objects in ``objs``."""
+    into one array, and the single grid they all live on, from ``grid_cache``
+    when built before. With ``key``, the vectors are the ``key`` fields of the
+    objects in ``objs``."""
     suffix = f".{key}" if key else ""
     fvs = [fv_from_json(o[key] if key else o, f"{where}[{k}]{suffix}", grid_cache)
            for k, o in enumerate(objs)]

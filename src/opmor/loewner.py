@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .funcspace import row_norms
 from .jsonio import complex_to_pair, family_to_json
-from .rom import COND_LIMIT, ReducedModel, real_realization
+from .rom import ReducedModel, real_realization
 from .samples import TangentialDataset, conjugate_transform
 
 COND_WARN = 1e8
@@ -105,53 +103,3 @@ def assemble(dataset: TangentialDataset) -> ReducedModel:
     }
     return rom
 
-
-@dataclass
-class ConditionReport:
-    """Diagnostics for a prospective assembly. Separations of coincident
-    left/right pairs are intentional and excluded from min_cross_separation."""
-
-    cond_E: float
-    min_sigma_separation: float
-    min_rho_separation: float
-    min_cross_separation: float
-    right_gram_det: float
-    left_gram_det: float
-
-    @property
-    def acceptable(self) -> bool:
-        return self.cond_E <= COND_LIMIT
-
-
-def _min_separation(points):
-    pts = np.asarray(points)
-    if pts.size < 2:
-        return np.inf
-    gaps = np.abs(pts[:, None] - pts[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    return float(np.min(gaps))
-
-
-def _normalized_gram_det(rows, grid):
-    """|det| of the Gram matrix of the rows' functions scaled to unit norm."""
-    unit = rows / row_norms(rows, grid)[:, None]
-    return float(abs(np.linalg.det((unit * grid.weights) @ np.conj(unit).T)))
-
-
-def condition_report(dataset: TangentialDataset) -> ConditionReport:
-    """Assemble E and report its conditioning, point separations, and
-    direction Gram determinants without building a model."""
-    dataset.validate()
-    E, _ = _matrices(dataset)
-    sig = dataset.sigmas
-    rho = dataset.rhos
-    cross = np.abs(sig[None, :] - rho[:, None])
-    cross = cross[cross >= dataset.coincidence_tol]
-    return ConditionReport(
-        cond_E=float(np.linalg.cond(E)),
-        min_sigma_separation=_min_separation(sig),
-        min_rho_separation=_min_separation(rho),
-        min_cross_separation=float(np.min(cross)) if cross.size else np.inf,
-        right_gram_det=_normalized_gram_det(dataset.P, dataset.u_grid),
-        left_gram_det=_normalized_gram_det(dataset.Q, dataset.y_grid),
-    )

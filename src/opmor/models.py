@@ -6,9 +6,8 @@ Every full-order model in this package has the form
 
 with input factors u_k in U = L2(con patch), output factors y_k in
 Y = L2(obs patch) and poles lam_k. The heat benchmark has one term per
-retained eigenmode; the rank-1 analytic toy has a single term. Adjoint and
-derivative evaluations and exact time stepping all follow from this form, so
-they are implemented once here.
+retained eigenmode. Adjoint and derivative evaluations and exact time
+stepping all follow from this form, so they are implemented once here.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ class PoleFactorModel:
 
     Holds ``poles`` (K,), ``input_factors`` (K x con nodes) and
     ``output_factors`` (K x obs nodes), the node values of the u_k and y_k,
-    on the two grids. Subclasses build these from a model (the heat
-    benchmark, the rank-1 toy); ``rom.pole_residue`` builds one directly.
+    on the two grids. ``heat2d.FullModel`` builds these from the heat
+    benchmark; ``rom.pole_residue`` builds one directly.
     """
 
     def __init__(self, con_grid: QuadratureGrid, obs_grid: QuadratureGrid,
@@ -150,20 +149,3 @@ class PoleFactorModel:
             out.append(FunctionVector(self.obs_grid, self.output_factors.T @ x))
         return out
 
-
-class RankOneModel(PoleFactorModel):
-    """Analytic rank-1 system G(s)[f] = <f, p>_U q / (s - pole).
-
-    Used as a ground-truth model whose reduction is exactly recoverable at
-    order one.
-    """
-
-    def __init__(self, p: FunctionVector, q: FunctionVector, pole):
-        if p.norm() == 0 or q.norm() == 0:
-            raise ValueError("rank-1 factors must be nonzero")
-        super().__init__(
-            p.grid, q.grid, [pole],
-            p.values[np.newaxis, :], q.values[np.newaxis, :],
-        )
-        self.p = p.copy()
-        self.q = q.copy()

@@ -35,7 +35,6 @@ from .rom import ReducedModel, real_realization
 from .samples import conjugate_transform, directions
 
 RANK_RTOL = 1e-13
-PROJECTOR_TRIALS = 20  # random vectors per idempotency and kernel test
 
 
 @dataclass
@@ -50,10 +49,6 @@ class ModalBasisMatrix:
     coeffs: np.ndarray
     points: Optional[np.ndarray] = None
     directions: Optional[np.ndarray] = None
-
-    @property
-    def r(self) -> int:
-        return self.coeffs.shape[1] if self.kind == "V" else self.coeffs.shape[0]
 
     def check_rank(self):
         """Raise with Gram diagnostics when columns/rows are numerically
@@ -148,45 +143,3 @@ def sylvester_residual_left(model: FullModel, W: ModalBasisMatrix, rhos, qs):
     absres = float(np.linalg.norm(R))
     return absres, absres / float(np.linalg.norm(C))
 
-
-@dataclass
-class ProjectorReport:
-    idempotency_max: float
-    range_max: float
-    kernel_max: float
-
-
-def projector_check(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix, s,
-                    seed: int = 0) -> ProjectorReport:
-    """Numerical test of the skew projector P(s) = V (W (s - A) V)^{-1} W (s - A).
-
-    Applies P twice to PROJECTOR_TRIALS random modal vectors and reports the worst relative
-    idempotency defect, the worst deviation of P v from v over the columns
-    of V (range property), and the worst norm of P on random vectors first
-    projected into its kernel {x : W (s - A) x = 0} (complement
-    annihilation).
-    """
-    s = model._check_point(s)
-    lam = model.poles.real
-    M = W.coeffs @ ((s - lam)[:, None] * V.coeffs)
-
-    def apply_p(x):
-        return V.coeffs @ np.linalg.solve(M, W.coeffs @ ((s - lam) * x))
-
-    mw = W.coeffs * (s - lam)
-    mw_pinv = np.linalg.pinv(mw)
-    rng = np.random.default_rng(seed)
-    idem = 0.0
-    kern = 0.0
-    for _ in range(PROJECTOR_TRIALS):
-        x = rng.standard_normal(lam.size) + 1j * rng.standard_normal(lam.size)
-        px = apply_p(x)
-        idem = max(idem, np.linalg.norm(apply_p(px) - px) / np.linalg.norm(px))
-        xk = x - mw_pinv @ (mw @ x)
-        kern = max(kern, np.linalg.norm(apply_p(xk)) / np.linalg.norm(xk))
-    rng_max = 0.0
-    for j in range(V.coeffs.shape[1]):
-        v = V.coeffs[:, j]
-        rng_max = max(rng_max, np.linalg.norm(apply_p(v) - v) / np.linalg.norm(v))
-    return ProjectorReport(idempotency_max=float(idem), range_max=float(rng_max),
-                           kernel_max=float(kern))

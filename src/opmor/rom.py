@@ -9,8 +9,8 @@ smallest singular value decides whether s is a pole, and the same factors
 apply the inverse, its adjoint, or the inverse twice with E in between for
 the derivative. The pole-residue decomposition turns the pencil into r
 scalar poles with tangential directions as a models.PoleFactorModel; the
-IRKA update, every H2 quantity (stability included) and exact time
-stepping use that form.
+IRKA update, the closed-form H2 quantities (stability included) and exact
+time stepping use that form.
 A real pencil is diagonalized in real arithmetic, so its poles come in
 bitwise-conjugate pairs; with real ports too, each pair's residues are set
 pairwise to exact conjugates, and a real pole's residues are real.

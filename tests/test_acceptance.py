@@ -25,17 +25,17 @@ from opmor.h2 import (
 from opmor.heat2d import FullModel
 from opmor.irka import IrkaConfig, run
 from opmor.loewner import assemble
-from opmor.models import RankOneModel
 from opmor.projection import (
     ModalBasisMatrix,
     build_bases,
     project_explicit,
-    projector_check,
     sylvester_residual_left,
     sylvester_residual_right,
 )
 from opmor.rom import pole_residue
 from opmor.samples import collect
+
+from oracles import RankOneModel, projector_check
 
 CON = Patch(0.1, 0.3, 0.1, 0.3)
 OBS = Patch(0.6, 0.8, 0.6, 0.8)

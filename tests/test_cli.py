@@ -104,6 +104,24 @@ class TestPipeline:
                      "--rom", pipeline["rom"], "--tol", "1e-8"]) == 0
         assert counts == {"apply_tf": 4, "apply_tf_adjoint": 4, "apply_tf_derivative": 3}
 
+    @pytest.mark.parametrize("args, block", [
+        (["--tol", "nan"], None), (["--tol", "-1"], None),
+        ([], {"tol": float("nan")}), ([], {"tol": "1e-3"}), ([], {"tol": True}),
+    ])
+    def test_unusable_tol_is_bad_input(self, pipeline, capsys, args, block):
+        config = pipeline["config"]
+        if block is not None:
+            config = write_config(pipeline["dir"] / "tol.json", validate=block)
+        assert main(["validate", "--config", config, "--rom", pipeline["rom"], *args]) == 2
+        assert "--tol or validate.tol must be positive and finite" in capsys.readouterr().err
+
+    def test_integer_tol_is_reported_as_float(self, pipeline):
+        config = write_config(pipeline["dir"] / "tol.json", validate={"tol": 1})
+        out = pipeline["dir"] / "validate.json"
+        assert main(["validate", "--config", config, "--rom", pipeline["rom"],
+                     "--out", str(out)]) == 0
+        assert '"tol": 1.0,' in out.read_text()
+
     def test_mixed_grid_rom_is_bad_input(self, pipeline):
         # one port row, then one provenance direction, moved to another grid
         for family in (lambda rom: rom["b_rows"],
@@ -227,6 +245,12 @@ class TestErrorExits:
         cfg = write_config(tmp_path / "c.json", irka={"order": 2, "point_tol": float("nan")})
         assert main(["irka", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
         assert "point_tol must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point_tol", [True, "1e-3"])
+    def test_non_numeric_point_tol(self, tmp_path, capsys, point_tol):
+        cfg = write_config(tmp_path / "c.json", irka={"order": 2, "point_tol": point_tol})
+        assert main(["irka", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+        assert "irka.point_tol must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model, field", [
         ({"n_modes": True}, "model.n_modes"), ({"n_modes": 6.0}, "model.n_modes"),

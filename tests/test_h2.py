@@ -20,9 +20,10 @@ from opmor.h2 import (
 )
 from opmor.heat2d import FullModel, eigenvalue
 from opmor.loewner import assemble
-from opmor.models import RankOneModel
 from opmor.rom import pole_residue
 from opmor.samples import collect
+
+from oracles import RankOneModel
 
 
 def unit_const(grid):
@@ -80,7 +81,7 @@ class TestFrequencyQuadrature:
     def test_weights_positive(self):
         quad = FrequencyQuadrature(64)
         assert np.all(quad.weights > 0)
-        assert quad.n_nodes == 64
+        assert quad.omegas.size == 64
 
     def test_cauchy_kernel_integrates_exactly(self):
         # the substitution turns 1/(1+omega^2) into the constant 1, which
@@ -250,6 +251,20 @@ class TestH2Error:
         err = h2_error(heat, heat_rom)
         oracle = h2_error_quadrature(heat, heat_rom)
         assert err == pytest.approx(oracle, rel=1e-5)
+
+    def test_quadrature_oracle_skips_pole_residue(self, toy, heat, heat_rom, grids,
+                                                  monkeypatch):
+        # the oracle cross-checks the pole-residue form, so its stability
+        # check must come from the pencil, not from pole_residue
+        def refuse(rom):
+            raise AssertionError("h2_error_quadrature called pole_residue")
+
+        bad = RankOneModel(unit_const(grids[0]), unit_const(grids[1]), 1.0)
+        unstable = assemble(collect(bad, [2.0], [bad.p], [3.0], [bad.q]))
+        monkeypatch.setattr("opmor.h2.pole_residue", refuse)
+        assert h2_error_quadrature(heat, heat_rom) > 0
+        with pytest.raises(StabilityError):
+            h2_error_quadrature(toy, unstable)
 
     def test_triangle_sanity(self, heat, heat_rom):
         bound = (h2_norm(heat) + h2_norm(heat_rom)) ** 2

@@ -77,7 +77,8 @@ class TestModelStructure:
 class TestApplyTf:
     def test_zero_direction(self):
         model = make_model(4)
-        out = model.apply_tf(1.0, constant(model.con_grid, 0.0))
+        grid = model.con_grid
+        out = model.apply_tf(1.0, FunctionVector(grid, np.zeros(grid.size)))
         assert np.all(out.values == 0)
         assert out.grid == model.obs_grid
 
@@ -108,7 +109,7 @@ class TestApplyTf:
         model = make_model(5)
         p = random_direction(model.con_grid, 3)
         s = 1.5 + 2.0j
-        a = model.apply_tf(np.conj(s), p.conj())
+        a = model.apply_tf(np.conj(s), FunctionVector(p.grid, np.conj(p.values)))
         b = model.apply_tf(s, p)
         np.testing.assert_allclose(a.values, np.conj(b.values), rtol=1e-13)
 
@@ -230,7 +231,7 @@ class TestSimulate:
     def test_zero_input(self):
         model = make_model(3)
         n = 20
-        u = [constant(model.con_grid, 0.0) for _ in range(n + 1)]
+        u = [FunctionVector(model.con_grid, np.zeros(model.con_grid.size))] * (n + 1)
         y = model.simulate(u, T=0.2, dt=0.01)
         assert len(y) == n + 1
         assert all(np.all(v.values == 0) for v in y)

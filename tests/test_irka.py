@@ -9,7 +9,8 @@ from opmor.funcspace import Patch, QuadratureGrid, constant, row_norms
 from opmor.h2 import h2_error, optimality_residuals
 from opmor.heat2d import FullModel
 from opmor.irka import ConvergenceReport, IrkaConfig, run, step
-from opmor.models import RankOneModel
+
+from oracles import RankOneModel
 
 
 def unit_const(grid):

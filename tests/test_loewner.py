@@ -8,10 +8,11 @@ from opmor.errors import ConditioningError, DatasetError
 from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
 from opmor.h2 import interpolation_residuals
 from opmor.heat2d import FullModel
-from opmor.loewner import _matrices, assemble, condition_report, dataset_hash
-from opmor.models import RankOneModel
+from opmor.loewner import _matrices, assemble, dataset_hash
 from opmor.rom import ReducedModel, pole_residue
 from opmor.samples import TangentialDataset, collect, conjugate_transform, load, save
+
+from oracles import RankOneModel
 
 
 def _rights(ds):
@@ -162,13 +163,7 @@ class TestAssembleHeat:
         # reducible, so tangential pairings are correlated and cond(E) sits
         # around 1e4-1e6 even for orthogonal directions; what matters is
         # staying well below the warn (1e8) and reject (1e12) thresholds
-        rep = condition_report(ds)
-        assert rep.cond_E < 1e7
-        assert rep.acceptable
-        assert rep.min_sigma_separation == pytest.approx(1.0)
-        # restricted modes are far from orthogonal on a small patch; the
-        # report exposes that through a small (but nonzero) gram determinant
-        assert 0 < rep.right_gram_det < 1e-3
+        assert assemble(ds).e_cond < 1e7
 
     def test_unbalanced_dataset_rejected(self, heat):
         ds = collect(heat, [1.0, 2.0], ["const", "mode:1,1"], [3.0, 4.0],
@@ -186,45 +181,23 @@ class TestAssembleHeat:
             [2.0, 3.0],
             ["mode:1,1", "mode:2,1"],
         )
-        rep = condition_report(ds)
-        assert rep.cond_E > 1e12
         with pytest.raises(ConditioningError) as ei:
             assemble(ds)
         assert ei.value.cond_estimate > 1e12
 
     def test_condition_warning_band(self, heat):
+        # a right-point gap of 1e-6 along one direction puts cond E near
+        # 4.5e9: above the warn threshold (1e8), below the reject one (1e12)
         ds = collect(
             heat,
-            [1.0, 1.0 + 1e-4],
+            [1.0, 1.0 + 1e-6],
             ["mode:1,1", "mode:1,1"],
             [2.0, 3.0],
             ["mode:1,1", "mode:2,1"],
         )
-        rep = condition_report(ds)
-        if 1e8 < rep.cond_E <= 1e12:
-            with pytest.warns(UserWarning, match="condition estimate"):
-                assemble(ds)
-
-    def test_gram_det_matches_pairwise_inner_products(self, heat):
-        # the per-pair loop is the reference for the one-product Gram; sums
-        # run in another order, so they agree to eps times the Gram's cond
-        ds = collect(heat, [1.0, 2.0, 4.0], ["mode:1,1", "const", "random:3"],
-                     [1.5, 3.0, 5.0], ["mode:2,1", "const", "random:4"])
-        rep = condition_report(ds)
-        for det, rows, grid in ((rep.right_gram_det, ds.P, ds.u_grid),
-                                (rep.left_gram_det, ds.Q, ds.y_grid)):
-            dirs = [FunctionVector(grid, row) for row in rows]
-            g = np.array([[inner_product(a, b) / (a.norm() * b.norm()) for b in dirs]
-                          for a in dirs])
-            want = abs(np.linalg.det(g))
-            assert det == pytest.approx(want, rel=100 * np.finfo(float).eps * np.linalg.cond(g))
-
-    def test_r1_condition_trivial(self, heat):
-        ds = collect(heat, [1.0], ["const"], [2.0], ["const"])
-        rep = condition_report(ds)
-        assert rep.cond_E == pytest.approx(1.0)
-        assert rep.min_sigma_separation == np.inf
-        assert rep.right_gram_det == pytest.approx(1.0, rel=1e-12)
+        with pytest.warns(UserWarning, match="condition estimate"):
+            rom = assemble(ds)
+        assert 1e8 < rom.e_cond <= 1e12
 
     def test_provenance(self, heat):
         ds = collect(heat, [1.0], ["const"], [2.0], ["const"])

@@ -18,11 +18,12 @@ from opmor.projection import (
     ModalBasisMatrix,
     build_bases,
     project_explicit,
-    projector_check,
     sylvester_residual_left,
     sylvester_residual_right,
 )
 from opmor.samples import collect
+
+from oracles import projector_check
 
 POINTS = [1.0, 2.0, 5.0 + 1.0j, 5.0 - 1.0j]
 RIGHT_DIRS = ["mode:1,1", "mode:1,2", "mode:2,1", "mode:2,2"]

@@ -102,7 +102,7 @@ class TestCollect:
         assert ds.hermites[0, 0] == want
 
     def test_zero_direction_rejected(self, model):
-        z = constant(model.con_grid, 0.0)
+        z = FunctionVector(model.con_grid, np.zeros(model.con_grid.size))
         with pytest.raises(ValueError, match="direction 1 is zero"):
             collect(model, [1.0, 2.0], ["const", z], [3.0, 4.0], ["const", "const"])
 
