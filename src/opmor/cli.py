@@ -21,8 +21,7 @@ import numpy as np
 from . import __version__
 from . import rom as rom_mod
 from . import samples
-from .config import (build_model, finite_point, integer, load_run_config, parse_point,
-                     positive_float)
+from .config import build_model, finite_point, load_run_config, parse_point
 from .errors import DatasetError, ParseError, ReductionError
 from .funcspace import FunctionVector
 from .h2 import (
@@ -35,7 +34,7 @@ from .h2 import (
 )
 from .irka import IrkaConfig
 from .irka import run as irka_run
-from .jsonio import complex_to_pair, dump_json, family_from_json
+from .jsonio import complex_to_pair, dump_json, integer, positive_float
 from .loewner import assemble
 
 log = logging.getLogger("opmor")
@@ -58,6 +57,15 @@ def _report_base(cfg) -> dict:
 def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _load_rom(path, model):
+    """The reduced model saved at path, or a ParseError unless its ports
+    live on the config model's grids."""
+    rom = rom_mod.load(path)
+    if (rom.u_grid, rom.y_grid) != (model.con_grid, model.obs_grid):
+        raise ParseError(f"{path}: reduced model ports do not live on the config model's grids")
+    return rom
 
 
 # ---------------------------------------------------------------- sample
@@ -102,24 +110,15 @@ def cmd_reduce(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_run_config(args.config)
     model = build_model(cfg.model_block)
-    rom = rom_mod.load(args.rom)
+    rom = _load_rom(args.rom, model)
     tol = args.tol if args.tol is not None else cfg.task("validate").get("tol", 1e-8)
     tol = positive_float(tol, "--tol or validate.tol")
-    prov = rom.provenance
-    needed = {"sigmas", "rhos", "right_dirs", "left_dirs"}
-    if prov.get("kind") != "loewner" or not needed <= set(prov):
+    if rom.provenance.get("kind") != "loewner" or rom.data is None:
         raise ParseError(
             "reduced model provenance lacks tangential data; only data-driven "
             "models can be validated against their own interpolation points"
         )
-    cache = {}
-    sigmas = [parse_point(s, "provenance.sigmas") for s in prov["sigmas"]]
-    rhos = [parse_point(s, "provenance.rhos") for s in prov["rhos"]]
-    P, p_grid = family_from_json(prov["right_dirs"], "provenance.right_dirs", cache)
-    Q, q_grid = family_from_json(prov["left_dirs"], "provenance.left_dirs", cache)
-    if (p_grid, q_grid) != (model.con_grid, model.obs_grid):
-        raise ParseError("provenance directions do not live on the config model's grids")
-    dataset = samples.collect(model, sigmas, P, rhos, Q)
+    dataset = samples.collect(model, *rom.data)
     right, left, herm = interpolation_residuals(rom, dataset)
     points = {"right": dataset.sigmas, "left": dataset.rhos,
               "hermite": [dataset.sigmas[j] for _, j in sorted(dataset.hermites)]}
@@ -144,6 +143,7 @@ def cmd_validate(args) -> int:
 def cmd_h2(args) -> int:
     cfg = load_run_config(args.config)
     model = build_model(cfg.model_block)
+    rom = _load_rom(args.rom, model) if args.rom else None
     quad = FrequencyQuadrature()
     norms = h2_norm_report(model, quad)
     report = _report_base(cfg)
@@ -153,7 +153,6 @@ def cmd_h2(args) -> int:
         "h2_error": None,
         "residuals": [],
     })
-    rom = rom_mod.load(args.rom) if args.rom else None
     if rom is not None:
         report["h2_error"] = h2_error(model, rom)
         opt = optimality_residuals(model, rom)
@@ -313,7 +312,7 @@ def _write_output_csv(path, t, outputs, grid):
 def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config)
     model = build_model(cfg.model_block)
-    rom = rom_mod.load(args.rom)
+    rom = _load_rom(args.rom, model)
     t, dt, u = _read_signal_csv(args.input, model.con_grid)
     horizon = args.T if args.T is not None else float(t[-1])
     n_steps = int(round(horizon / dt))

@@ -24,7 +24,7 @@ import json
 from .errors import ParseError
 from .funcspace import QuadratureGrid
 from .heat2d import FullModel, default_quad_order
-from .jsonio import pair_to_complex, patch_from_json
+from .jsonio import integer, pair_to_complex, patch_from_json
 
 
 def finite_point(z: complex, where: str) -> complex:
@@ -40,24 +40,6 @@ def parse_point(obj, where=""):
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         obj = [obj, 0.0]
     return finite_point(pair_to_complex(obj, where), where)
-
-
-def integer(value, where: str, allow_zero: bool = False) -> int:
-    """value, or a ParseError naming the field unless it is a positive int
-    (zero too with ``allow_zero``); a bool is not an int here."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < (0 if allow_zero else 1):
-        kind = "nonnegative" if allow_zero else "positive"
-        raise ParseError(f"{where} must be a {kind} integer, got {value!r}")
-    return value
-
-
-def positive_float(value, where: str) -> float:
-    """float(value), or a ParseError naming the field unless value is a
-    finite positive int or float; a bool or a string is not a number here."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and 0 < value < float("inf")):
-        raise ParseError(f"{where} must be positive and finite, got {value!r}")
-    return float(value)
 
 
 def build_model(block, where="model") -> FullModel:

@@ -120,15 +120,16 @@ def _h2_sq_quadrature(model, quad: FrequencyQuadrature) -> float:
 
 
 def _converged_quadrature(fn):
-    """Evaluate fn(quad) with node doubling until the value stabilizes to
-    QUAD_STABLE_RTOL (or the node budget runs out; the pole scales here keep
-    convergence spectral, so that is a corner case, not an error)."""
+    """Evaluate fn(quad) -> (value, scale) with node doubling until the value
+    stabilizes to QUAD_STABLE_RTOL times the larger of itself and the scale,
+    so a value of 0 settles too (or the node budget runs out; the pole scales
+    here keep convergence spectral, so that is a corner case, not an error)."""
     n = DEFAULT_NODES
-    value = fn(FrequencyQuadrature(n))
+    value, _ = fn(FrequencyQuadrature(n))
     while 2 * n <= MAX_NODES:
         n *= 2
-        refined = fn(FrequencyQuadrature(n))
-        if abs(refined - value) <= QUAD_STABLE_RTOL * max(abs(refined), abs(value)):
+        refined, scale = fn(FrequencyQuadrature(n))
+        if abs(refined - value) <= QUAD_STABLE_RTOL * max(abs(refined), abs(value), scale):
             return refined
         value = refined
     return value
@@ -157,7 +158,7 @@ def h2_norm_report(system, quad: FrequencyQuadrature | None = None) -> H2NormRep
     """
     model = _stable_factor_form(system)
     if quad is None:
-        qsq = _converged_quadrature(lambda q: _h2_sq_quadrature(model, q))
+        qsq = _converged_quadrature(lambda q: (_h2_sq_quadrature(model, q),) * 2)
     else:
         qsq = _h2_sq_quadrature(model, quad)
     return H2NormReport(
@@ -227,7 +228,8 @@ def h2_error_quadrature(full, rom: ReducedModel) -> float:
     lam = full.poles
 
     def integral(rule):
-        total = 0.0
+        # the squared error, 0 for an exact ROM, and its scale ||G||^2 + ||G_r||^2
+        total = scale = 0.0
         for w, wt in zip(rule.omegas, rule.weights):
             s = 1j * w
             U, sv, Vh = rom._pencil(s)
@@ -235,8 +237,10 @@ def h2_error_quadrature(full, rom: ReducedModel) -> float:
             alpha = 1.0 / (s - lam)
             cross = np.conj(alpha) @ np.sum((GYc @ K) * GUb, axis=1)
             hs_sq_rom = np.real(np.sum((K @ GB @ K.conj().T) * GC))
-            total += wt * (_hs_sq_factor(full, s) + hs_sq_rom - 2.0 * cross.real)
-        return total / (2.0 * np.pi)
+            hs_sq = _hs_sq_factor(full, s) + hs_sq_rom
+            total += wt * (hs_sq - 2.0 * cross.real)
+            scale += wt * hs_sq
+        return total / (2.0 * np.pi), scale / (2.0 * np.pi)
 
     return max(float(_converged_quadrature(integral)), 0.0)
 

@@ -1,4 +1,4 @@
-"""JSON helpers shared by dataset, model and report files.
+"""JSON helpers and field checks shared by config, dataset, model and report files.
 
 Complex data are stored exclusively as [re, im] pairs: a scalar is one
 pair, a vector a list of pairs, a matrix a list of such rows. One encoder,
@@ -22,6 +22,24 @@ def complex_to_pair(z):
     """Complex data of any shape as nested lists ending in [re, im] pairs."""
     z = np.asarray(z, dtype=np.complex128)
     return np.stack((z.real, z.imag), axis=-1).tolist()
+
+
+def integer(value, where: str, allow_zero: bool = False) -> int:
+    """value, or a ParseError naming the field unless it is a positive int
+    (zero too with ``allow_zero``); a bool is not an int here."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < (0 if allow_zero else 1):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise ParseError(f"{where} must be a {kind} integer, got {value!r}")
+    return value
+
+
+def positive_float(value, where: str) -> float:
+    """float(value), or a ParseError naming the field unless value is a
+    finite positive int or float; a bool or a string is not a number here."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 < value < float("inf")):
+        raise ParseError(f"{where} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def pair_to_complex(obj, where=""):
@@ -74,9 +92,7 @@ def fv_from_json(obj, where, grid_cache):
     if not isinstance(obj, dict) or not {"patch", "quad_order", "values"} <= set(obj):
         raise ParseError(f"expected a function vector object at {where}")
     patch = patch_from_json(obj["patch"], f"{where}.patch")
-    order = obj["quad_order"]
-    if not isinstance(order, int) or order < 1:
-        raise ParseError(f"bad quad_order at {where}: {order!r}")
+    order = integer(obj["quad_order"], f"{where}.quad_order")
     if (patch, order) not in grid_cache:
         grid_cache[patch, order] = QuadratureGrid(patch, order)
     grid = grid_cache[patch, order]

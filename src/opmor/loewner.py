@@ -28,7 +28,6 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .jsonio import complex_to_pair, family_to_json
 from .rom import ReducedModel, real_realization
 from .samples import TangentialDataset, conjugate_transform
 
@@ -73,8 +72,8 @@ def assemble(dataset: TangentialDataset) -> ReducedModel:
 
     The ReducedModel constructor rejects an E whose condition estimate
     exceeds rom.COND_LIMIT; assembly warns above COND_WARN. Provenance
-    records the dataset hash and the full tangential data so a saved model
-    can be re-validated against a model config alone.
+    records the dataset hash and the model its tangential data, so a saved
+    model can be re-validated against a model config alone.
     """
     dataset.validate()
     E, A = _matrices(dataset)
@@ -83,7 +82,8 @@ def assemble(dataset: TangentialDataset) -> ReducedModel:
     TR = conjugate_transform(dataset.sigmas, dataset.P, dataset.u_grid)
     if TL is not None and TR is not None:
         E, A, B, C = real_realization(E, A, B, C, TL, TR)
-    rom = ReducedModel(E, A, B, C, dataset.u_grid, dataset.y_grid)
+    rom = ReducedModel(E, A, B, C, dataset.u_grid, dataset.y_grid,
+                       data=(dataset.sigmas, dataset.P, dataset.rhos, dataset.Q))
     if rom.e_cond > COND_WARN:
         warnings.warn(
             f"assembled E has condition estimate {rom.e_cond:.3e}; results may lose "
@@ -96,10 +96,6 @@ def assemble(dataset: TangentialDataset) -> ReducedModel:
         "dataset_sha256": dataset_hash(dataset),
         "coincidence_tol": dataset.coincidence_tol,
         "cond_E": rom.e_cond,
-        "sigmas": complex_to_pair(dataset.sigmas),
-        "rhos": complex_to_pair(dataset.rhos),
-        "right_dirs": family_to_json(dataset.P, dataset.u_grid),
-        "left_dirs": family_to_json(dataset.Q, dataset.y_grid),
     }
     return rom
 

@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from .errors import ConditioningError
 from .heat2d import FullModel
-from .jsonio import complex_to_pair
 from .rom import ReducedModel, real_realization
 from .samples import conjugate_transform, directions
 
@@ -104,19 +103,15 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix)
     A = W.coeffs @ (lam[:, None] * V.coeffs)
     B = np.conj(W.coeffs) @ model.input_factors
     C = V.coeffs.T @ model.output_factors
+    data = None
     if V.points is not None and W.points is not None:
+        data = (V.points, V.directions, W.points, W.directions)
         TL = conjugate_transform(W.points, W.directions, model.obs_grid)
         TR = conjugate_transform(V.points, V.directions, model.con_grid)
         if TL is not None and TR is not None:
             E, A, B, C = real_realization(E, A, B, C, TL, TR)
-    rom = ReducedModel(E, A, B, C, model.con_grid, model.obs_grid)
-    rom.provenance = {
-        "kind": "projection",
-        "tool_version": __version__,
-        "cond_E": rom.e_cond,
-        "sigmas": None if V.points is None else complex_to_pair(V.points),
-        "rhos": None if W.points is None else complex_to_pair(W.points),
-    }
+    rom = ReducedModel(E, A, B, C, model.con_grid, model.obs_grid, data=data)
+    rom.provenance = {"kind": "projection", "tool_version": __version__, "cond_E": rom.e_cond}
     return rom
 
 

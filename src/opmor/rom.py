@@ -29,14 +29,8 @@ from .errors import (
     SingularSolveError,
 )
 from .funcspace import FunctionVector, values_on
-from .jsonio import (
-    cmatrix_from_json,
-    complex_to_pair,
-    dump_json,
-    family_from_json,
-    family_to_json,
-    load_json,
-)
+from .jsonio import (cmatrix_from_json, complex_to_pair, cvector_from_json, dump_json,
+                     family_from_json, family_to_json, integer, load_json)
 from .models import PoleFactorModel
 
 # relative eigenvalue separation below which a pencil is treated as defective
@@ -66,11 +60,13 @@ class ReducedModel:
     i of the reduced input map (so B_r[p]_i = <p, b_i>_U) on ``u_grid``; row j
     of ``C`` holds the image c_j of reduced basis vector j under the output
     map on ``y_grid``. ``provenance`` is a JSON-plain dict recorded into the
-    file format unchanged. ``e_cond`` is cond(E); the constructor raises
+    file format unchanged. ``data`` is None or the tangential data (sigmas,
+    P, rhos, Q), directions as rows on the port grids; only ``save`` and
+    ``load`` encode it. ``e_cond`` is cond(E); the constructor raises
     ConditioningError when it is not finite or above COND_LIMIT.
     """
 
-    def __init__(self, E, A, B, C, u_grid, y_grid, provenance=None):
+    def __init__(self, E, A, B, C, u_grid, y_grid, provenance=None, data=None):
         E = np.array(E, dtype=np.complex128)
         A = np.array(A, dtype=np.complex128)
         if E.ndim != 2 or E.shape[0] != E.shape[1] or E.shape != A.shape:
@@ -101,6 +97,7 @@ class ReducedModel:
         self.y_grid = y_grid
         self.e_cond = e_cond
         self.provenance = dict(provenance or {})
+        self.data = data
         # weight-folded pairing rows for the input and output maps
         self._b_pair = np.conj(B) * u_grid.weights
         self._c_pair = np.conj(C) * y_grid.weights
@@ -205,31 +202,40 @@ def simulate(rom: ReducedModel, u, T, dt):
 
 
 def save(rom: ReducedModel, path):
-    obj = {
-        "r": rom.r,
-        "E": complex_to_pair(rom.E),
-        "A": complex_to_pair(rom.A),
-        "b_rows": family_to_json(rom.B, rom.u_grid),
-        "c_cols": family_to_json(rom.C, rom.y_grid),
-        "provenance": rom.provenance,
-    }
-    dump_json(obj, path)
+    provenance = dict(rom.provenance)
+    if rom.data is not None:
+        sigmas, P, rhos, Q = rom.data
+        provenance.update(sigmas=complex_to_pair(sigmas), rhos=complex_to_pair(rhos),
+                          right_dirs=family_to_json(P, rom.u_grid),
+                          left_dirs=family_to_json(Q, rom.y_grid))
+    dump_json({"r": rom.r, "E": complex_to_pair(rom.E), "A": complex_to_pair(rom.A),
+               "b_rows": family_to_json(rom.B, rom.u_grid),
+               "c_cols": family_to_json(rom.C, rom.y_grid), "provenance": provenance}, path)
 
 
 def load(path) -> ReducedModel:
+    """Read what save writes, the provenance's tangential data as ``data``."""
     obj = load_json(path)
-    cache = {}
+    cache, data = {}, None
     try:
         E = cmatrix_from_json(obj["E"], "E")
         A = cmatrix_from_json(obj["A"], "A")
         B, u_grid = family_from_json(obj["b_rows"], "b_rows", cache)
         C, y_grid = family_from_json(obj["c_cols"], "c_cols", cache)
-        declared_r = int(obj["r"])
+        declared_r = integer(obj["r"], f"{path}: r")
         provenance = obj.get("provenance", {})
-    except (KeyError, TypeError) as e:
+        if "sigmas" in provenance:
+            sigmas, rhos = (cvector_from_json(provenance.pop(k), f"provenance.{k}")
+                            for k in ("sigmas", "rhos"))
+            (P, p_grid), (Q, q_grid) = (family_from_json(provenance.pop(k), f"provenance.{k}", cache)
+                                        for k in ("right_dirs", "left_dirs"))
+            if not np.isfinite(np.concatenate((sigmas, rhos))).all():
+                raise ParseError(f"{path}: provenance points must be finite")
+            if (p_grid, q_grid) != (u_grid, y_grid):
+                raise ParseError(f"{path}: provenance directions do not live on the port grids")
+            data = (sigmas, P, rhos, Q)
+    except (KeyError, TypeError, AttributeError) as e:
         raise ParseError(f"{path}: missing or malformed field: {e}") from e
     if E.shape != (declared_r, declared_r):
-        raise ParseError(
-            f"{path}: declared order r={declared_r} but E has shape {E.shape}"
-        )
-    return ReducedModel(E, A, B, C, u_grid, y_grid, provenance)
+        raise ParseError(f"{path}: declared order r={declared_r} but E has shape {E.shape}")
+    return ReducedModel(E, A, B, C, u_grid, y_grid, provenance, data)

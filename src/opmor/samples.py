@@ -30,8 +30,10 @@ from .jsonio import (
     dump_json,
     family_from_json,
     family_to_json,
+    integer,
     load_json,
     pair_to_complex,
+    positive_float,
 )
 
 DEFAULT_COINCIDENCE_TOL = 1e-10
@@ -281,12 +283,14 @@ def load(path) -> TangentialDataset:
         left_values, lv_grid = family_from_json(lefts, "lefts", cache, "value")
         hermites = {}
         for k, h in enumerate(obj.get("hermites", [])):
-            key = (int(h["i"]), int(h["j"]))
+            key = (integer(h["i"], f"hermites[{k}].i", allow_zero=True),
+                   integer(h["j"], f"hermites[{k}].j", allow_zero=True))
             if key in hermites:
                 raise ParseError(f"{path}: duplicate hermite entry at (left {key[0]}, right {key[1]})")
             hermites[key] = pair_to_complex(h["value"], f"hermites[{k}].value")
-        tol = float(obj.get("coincidence_tol", DEFAULT_COINCIDENCE_TOL))
-        declared_r = int(obj["r"])
+        tol = positive_float(obj.get("coincidence_tol", DEFAULT_COINCIDENCE_TOL),
+                             "coincidence_tol")
+        declared_r = integer(obj["r"], "r")
     except (KeyError, TypeError) as e:
         raise ParseError(f"{path}: missing or malformed field: {e}") from e
     if q_grid != y_grid or lv_grid != u_grid:

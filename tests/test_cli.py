@@ -135,6 +135,59 @@ class TestPipeline:
                        "--rom", str(bad), "--tol", "1e-8"])
             assert rc == 2
 
+    @pytest.mark.parametrize("command", ["validate", "h2", "simulate"])
+    def test_rom_for_another_model_is_bad_input(self, pipeline, capsys, command):
+        # the config's observation patch is not the one the ROM was built on
+        other = dict(MODEL_BLOCK, obs_patch={"x": [0.5, 0.7], "y": [0.6, 0.8]})
+        config = write_config(pipeline["dir"] / "other.json", model=other)
+        nodes = MODEL_BLOCK["quad_order"] ** 2
+        signal = pipeline["dir"] / "u.csv"
+        signal.write_text("\n".join(["time," + ",".join(["u"] * nodes)]
+                                    + [f"{t}," + ",".join(["1.0"] * nodes) for t in (0, 0.1, 0.2)]))
+        out = pipeline["dir"] / "out"
+        extra = {"validate": ["--tol", "1e-8"], "h2": ["--out", str(out)],
+                 "simulate": ["--input", str(signal), "--out", str(out)]}[command]
+        assert main([command, "--config", config, "--rom", pipeline["rom"], *extra]) == 2
+        assert "ports do not live on the config model's grids" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_directions_off_the_port_grids_are_bad_input(self, pipeline, capsys):
+        rom = json.loads(open(pipeline["rom"]).read())
+        for key in ("right_dirs", "left_dirs"):
+            for direction in rom["provenance"][key]:
+                order = direction["quad_order"] + 1
+                direction.update(quad_order=order, values=[[1.0, 0.0]] * order**2)
+        bad = pipeline["dir"] / "rom_moved.json"
+        bad.write_text(json.dumps(rom))
+        assert main(["validate", "--config", pipeline["config"], "--rom", str(bad)]) == 2
+        assert "do not live on the port grids" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", [4.7, "4"])
+    def test_fractional_rom_order_is_bad_input(self, pipeline, capsys, r):
+        rom = json.loads(open(pipeline["rom"]).read())
+        rom["r"] = r
+        bad = pipeline["dir"] / "rom_r.json"
+        bad.write_text(json.dumps(rom))
+        assert main(["validate", "--config", pipeline["config"], "--rom", str(bad)]) == 2
+        assert "r must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("i", False, "hermites[0].i must be a nonnegative integer"),
+        ("j", 0.0, "hermites[0].j must be a nonnegative integer"),
+        ("coincidence_tol", "1e-10", "coincidence_tol must be positive and finite"),
+        ("coincidence_tol", True, "coincidence_tol must be positive and finite"),
+        ("r", 4.0, "r must be a positive integer"),
+    ])
+    def test_lax_dataset_field_is_bad_input(self, pipeline, capsys, field, value, message):
+        data = json.loads(open(pipeline["data"]).read())
+        (data["hermites"][0] if field in ("i", "j") else data)[field] = value
+        bad = pipeline["dir"] / "lax.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["reduce", "--config", pipeline["config"], "--data", str(bad),
+                   "--out", str(pipeline["dir"] / "rom_lax.json")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("corrupt", [
         "duplicate_hermite", "hermite_out_of_range", "one_left_on_other_grid",
         "lefts_on_other_grid",

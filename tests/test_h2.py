@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opmor import h2
 from opmor.errors import PoleProximityError, ReductionError, StabilityError
 from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
 from opmor.h2 import (
@@ -265,6 +266,20 @@ class TestH2Error:
         assert h2_error_quadrature(heat, heat_rom) > 0
         with pytest.raises(StabilityError):
             h2_error_quadrature(toy, unstable)
+
+    def test_exact_rom_oracle_settles_after_two_rules(self, toy, toy_rom, monkeypatch):
+        # an error of 0 cannot settle relative to itself; it settles against
+        # the floor QUAD_STABLE_RTOL * (||G||^2 + ||G_r||^2)
+        sizes = []
+
+        class Counted(h2.FrequencyQuadrature):
+            def __init__(self, n_nodes):
+                sizes.append(n_nodes)
+                super().__init__(n_nodes)
+
+        monkeypatch.setattr(h2, "FrequencyQuadrature", Counted)
+        assert h2_error_quadrature(toy, toy_rom) < 1e-10
+        assert sizes == [h2.DEFAULT_NODES, 2 * h2.DEFAULT_NODES]
 
     def test_triangle_sanity(self, heat, heat_rom):
         bound = (h2_norm(heat) + h2_norm(heat_rom)) ** 2

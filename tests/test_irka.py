@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -272,3 +273,25 @@ def test_evaluations_and_diagonalizations_per_sweep(monkeypatch):
     assert counts == {"pole_residue": 3 * sweeps, "apply_tf": 3 * r * sweeps,
                       "apply_tf_adjoint": 2 * r * sweeps,
                       "apply_tf_derivative": 2 * r * sweeps}
+
+
+def test_sweeps_encode_no_json(monkeypatch):
+    """Intermediate iterates are never saved, so no sweep encodes one: the
+    JSON encoders raise in every opmor module that binds them."""
+    full = FullModel(
+        QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 16),
+        QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 16),
+        6,
+    )
+
+    def refuse(*args):
+        raise AssertionError("an IRKA sweep encoded JSON")
+
+    for name, module in list(sys.modules.items()):
+        if name == "opmor" or name.startswith("opmor."):
+            for encoder in ("family_to_json", "complex_to_pair"):
+                if hasattr(module, encoder):
+                    monkeypatch.setattr(module, encoder, refuse)
+    rom, report = run(full, IrkaConfig(r=2, init_points=[1.0, 10.0], max_iter=3))
+    assert report.iterations == 3
+    assert rom.data is not None

@@ -1,12 +1,14 @@
 """The one complex encoder of the file formats: scalars, vectors and
-matrices become [re, im] pairs nested like the input."""
+matrices become [re, im] pairs nested like the input. Integer fields of
+the files are ints, never booleans or floats."""
 
 import json
 
 import numpy as np
 import pytest
 
-from opmor.jsonio import complex_to_pair
+from opmor.errors import ParseError
+from opmor.jsonio import complex_to_pair, fv_from_json
 
 # -0.0 in either part, and parts whose shortest repr needs 17 digits
 VALUES = [
@@ -42,3 +44,11 @@ def test_complex_to_pair_matches_per_element_pairs(z):
     # float repr is unique per double, keeps the sign of zero and tells 0.0
     # from 0, so equal texts mean bitwise-equal float parts
     assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("order", [True, 1.0, 0])
+def test_quad_order_must_be_a_positive_integer(order):
+    obj = {"patch": {"x": [0.1, 0.3], "y": [0.1, 0.3]}, "quad_order": order,
+           "values": [[1.0, 0.0]]}
+    with pytest.raises(ParseError, match=r"b_rows\[0\].quad_order must be a positive integer"):
+        fv_from_json(obj, "b_rows[0]", {})

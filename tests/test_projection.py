@@ -151,8 +151,11 @@ class TestProjectExplicit:
         V, W = build_bases(heat, [1.0], ["const"], [2.0], ["const"])
         rom = project_explicit(heat, V, W)
         assert rom.provenance["kind"] == "projection"
-        assert rom.provenance["sigmas"] == [[1.0, 0.0]]
-        assert rom.provenance["rhos"] == [[2.0, 0.0]]
+        sigmas, P, rhos, Q = rom.data
+        assert sigmas.tolist() == [1.0] and rhos.tolist() == [2.0]
+        assert P is V.directions and Q is W.directions
+        V.points = None
+        assert project_explicit(heat, V, W).data is None
 
 
 class TestOneSidedInterpolation:

@@ -373,6 +373,56 @@ class TestSaveLoad:
         assert np.array_equal(back.C, heat_rom.C)
         assert back.provenance == heat_rom.provenance
 
+    @pytest.mark.parametrize("real, sigmas, rhos", [
+        (True, [1.0, 2.0 + 1.0j, 2.0 - 1.0j], [1.5, 3.0 + 1.0j, 3.0 - 1.0j]),
+        (False, [1.0, 2.0 + 1.0j, 4.0], [1.5, 3.0 + 1.0j, 5.0]),
+    ], ids=["real", "complex"])
+    def test_data_round_trip_bit_exact(self, heat, tmp_path, real, sigmas, rhos):
+        # conjugate-closed data assemble to a real realization, the rest to
+        # a complex one; either way the data come back bit for bit
+        rom = assemble(collect(heat, sigmas, ["mode:1,1", "mode:1,2", "mode:1,2"],
+                               rhos, ["mode:1,1", "mode:2,1", "mode:2,1"]))
+        assert rom.E.imag.any() != real
+        path = tmp_path / "rom.json"
+        save(rom, path)
+        back = load(path)
+        assert len(back.data) == 4
+        for got, want in zip(back.data, rom.data):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert back.provenance == rom.provenance
+
+    @pytest.mark.parametrize("r", [4.7, "4", True])
+    def test_declared_order_must_be_an_integer(self, heat_rom, tmp_path, r):
+        path = tmp_path / "rom.json"
+        save(heat_rom, path)
+        obj = json.loads(path.read_text())
+        obj["r"] = r
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match="r must be a positive integer"):
+            load(path)
+
+    @pytest.mark.parametrize("key, point", [("sigmas", [float("nan"), 0.0]),
+                                            ("rhos", [1.0, float("inf")])])
+    def test_non_finite_point_rejected(self, heat_rom, tmp_path, key, point):
+        path = tmp_path / "rom.json"
+        save(heat_rom, path)
+        obj = json.loads(path.read_text())
+        obj["provenance"][key][1] = point
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match="points must be finite"):
+            load(path)
+
+    def test_directions_off_the_port_grids_rejected(self, heat_rom, tmp_path):
+        # left directions on the input grid: one grid, but not the output port's
+        path = tmp_path / "rom.json"
+        save(heat_rom, path)
+        obj = json.loads(path.read_text())
+        obj["provenance"]["left_dirs"] = obj["provenance"]["right_dirs"]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match="do not live on the port grids"):
+            load(path)
+
     def test_declared_order_checked(self, toy_rom, tmp_path):
         path = tmp_path / "rom.json"
         save(toy_rom, path)

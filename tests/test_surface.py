@@ -1,6 +1,7 @@
 """The package carries only what runs: no module under src/opmor or scripts/
-imports a name it never uses, and every top-level function and class in
-src/opmor is reached from the package itself, the scripts or the benchmark.
+imports a name it never uses, every top-level function and class in
+src/opmor is reached from the package itself, the scripts or the benchmark,
+and src/opmor imports nothing but the standard library, numpy and itself.
 A definition that only tests call belongs in tests/ (see tests/oracles.py).
 
 References are read with ast: names, attribute names, imported names and
@@ -10,6 +11,7 @@ in prose is not a reference."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,3 +88,19 @@ def test_every_definition_is_reached_outside_tests():
                        for other, words in refs.items() for word, line in words):
                 unreached.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unreached, "defined in src/ but only tests reach:\n" + "\n".join(unreached)
+
+
+def test_package_needs_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "opmor"}
+    foreign = []
+    for path in PACKAGE:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{path.relative_to(ROOT)}:{node.lineno} {root}"
+                        for root in roots if root not in allowed]
+    assert not foreign, "imports beyond the stdlib and numpy:\n" + "\n".join(foreign)
