@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import rom as rom_mod
 from . import samples
-from .config import build_model, finite_point, load_run_config, parse_point
+from .config import build_model, load_run_config, parse_point
 from .errors import DatasetError, ParseError, ReductionError
 from .funcspace import FunctionVector
 from .h2 import (
@@ -83,10 +83,10 @@ def cmd_sample(args) -> int:
         left_dirs = block["left_dirs"]
     except KeyError as e:
         raise ParseError(f"sample block is missing {e}") from e
-    dataset = samples.collect(
-        model, sigmas, right_dirs, rhos, left_dirs,
-        conjugate_close=bool(block.get("conjugate_close", False)),
-    )
+    close = block.get("conjugate_close", False)
+    if not isinstance(close, bool):
+        raise ParseError(f"sample.conjugate_close must be true or false, got {close!r}")
+    dataset = samples.collect(model, sigmas, right_dirs, rhos, left_dirs, conjugate_close=close)
     samples.save(dataset, args.out)
     log.info("wrote %d+%d samples to %s", dataset.sigmas.size, dataset.rhos.size, args.out)
     print(f"sampled r={dataset.r} tangential dataset -> {args.out}")
@@ -195,7 +195,8 @@ def cmd_irka(args) -> int:
         return arg if arg is not None else block.get(key, default)
 
     if args.init is not None:
-        init_points = [finite_point(complex(tok), "--init") for tok in args.init.split(",")]
+        init_points = [parse_point(complex_to_pair(complex(tok)), "--init")
+                       for tok in args.init.split(",")]
     elif "init_points" in block:
         init_points = [parse_point(s, "irka.init_points") for s in block["init_points"]]
     else:
@@ -277,6 +278,9 @@ def _read_signal_csv(path, grid):
         except ValueError as e:
             raise ParseError(f"{path}: non-numeric entry ({e})") from e
     data = np.array(rows)
+    if not np.isfinite(data).all():
+        i, j = np.argwhere(~np.isfinite(data))[0]
+        raise ParseError(f"{path}: column {j} of time row {i} must be finite, got {data[i, j]}")
     if data.shape[1] != grid.size + 1:
         raise ParseError(
             f"{path}: expected time plus {grid.size} node columns, got {data.shape[1]}"
@@ -314,7 +318,7 @@ def cmd_simulate(args) -> int:
     model = build_model(cfg.model_block)
     rom = _load_rom(args.rom, model)
     t, dt, u = _read_signal_csv(args.input, model.con_grid)
-    horizon = args.T if args.T is not None else float(t[-1])
+    horizon = positive_float(args.T, "--T") if args.T is not None else float(t[-1])
     n_steps = int(round(horizon / dt))
     y_rom = rom_mod.simulate(rom, u, horizon, dt)
     _write_output_csv(args.out, t[: n_steps + 1], y_rom, rom.y_grid)

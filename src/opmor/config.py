@@ -15,7 +15,6 @@ always be traced to the exact file that produced it.
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 from dataclasses import dataclass
 
@@ -27,19 +26,12 @@ from .heat2d import FullModel, default_quad_order
 from .jsonio import integer, pair_to_complex, patch_from_json
 
 
-def finite_point(z: complex, where: str) -> complex:
-    """z, or a ParseError naming the field when a part is NaN or infinite."""
-    if not cmath.isfinite(z):
-        raise ParseError(f"{where} must be a finite point, got {z}")
-    return z
-
-
 def parse_point(obj, where=""):
     """Interpolation points appear as plain reals or [re, im] pairs, both
     finite."""
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         obj = [obj, 0.0]
-    return finite_point(pair_to_complex(obj, where), where)
+    return pair_to_complex(obj, where, 0)
 
 
 def build_model(block, where="model") -> FullModel:

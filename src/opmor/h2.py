@@ -108,10 +108,12 @@ def hs_norm(system, s) -> float:
 
 
 def _h2_sq_closed(model) -> float:
-    GU, GY = _port_grams(model)
-    lam = model.poles
-    denom = -(lam[:, None] + np.conj(lam[None, :]))
-    return float(np.real(np.sum(GU * GY / denom)))
+    """||G||^2 by the closed double series, cached on the model like _port_grams."""
+    if getattr(model, "_h2_sq", None) is None:
+        GU, GY = _port_grams(model)
+        lam = model.poles
+        model._h2_sq = float(np.real(np.sum(GU * GY / -(lam[:, None] + np.conj(lam[None, :])))))
+    return model._h2_sq
 
 
 def _h2_sq_quadrature(model, quad: FrequencyQuadrature) -> float:

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .funcspace import QuadratureGrid, restrict_mode
+from .funcspace import QuadratureGrid
 from .models import PoleFactorModel
 
 
-def eigenvalue(n: int, m: int) -> float:
-    """Dirichlet Laplacian eigenvalue -pi^2 (n^2 + m^2) on the unit square."""
-    if n < 1 or m < 1:
+def eigenvalue(n, m):
+    """Dirichlet Laplacian eigenvalue -pi^2 (n^2 + m^2) on the unit square,
+    elementwise for integer arrays."""
+    if np.min(n) < 1 or np.min(m) < 1:
         raise ValueError(f"mode indices must be >= 1, got ({n}, {m})")
     return -np.pi**2 * (n * n + m * m)
 
@@ -56,12 +57,17 @@ class FullModel(PoleFactorModel):
     def __init__(self, con_grid: QuadratureGrid, obs_grid: QuadratureGrid, n_max: int):
         if not isinstance(n_max, (int, np.integer)) or n_max < 1:
             raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-        modes = np.array([(n, m) for n in range(1, n_max + 1)
-                          for m in range(1, n_max + 1)], dtype=int)
-        eigs = np.array([eigenvalue(n, m) for n, m in modes])
-        phi_con = np.array([restrict_mode(n, m, con_grid).values for n, m in modes])
-        phi_obs = np.array([restrict_mode(n, m, obs_grid).values for n, m in modes])
-        super().__init__(con_grid, obs_grid, eigs, phi_con, phi_obs)
+        n = np.arange(1, n_max + 1)
+        modes = np.stack(np.meshgrid(n, n, indexing="ij"), axis=-1).reshape(-1, 2)
+        tables = []
+        for g in (con_grid, obs_grid):
+            # restrict_mode's values for every (n, m), bit for bit, as a Kronecker product of
+            # 1-D sine tables written into the real part (a real temporary costs peak RSS)
+            table = np.zeros((n_max, n_max, g.order, g.order), dtype=np.complex128)
+            np.multiply((2.0 * np.sin(n[:, None] * np.pi * g.nodes[::g.order, 0]))[:, None, :, None],
+                        np.sin(n[:, None] * np.pi * g.nodes[:g.order, 1])[:, None, :], out=table.real)
+            tables.append(table.reshape(n_max**2, g.size))
+        super().__init__(con_grid, obs_grid, eigenvalue(modes[:, 0], modes[:, 1]), *tables)
         self.n_max = n_max
         self.modes = modes
         self.modes.setflags(write=False)

@@ -29,8 +29,8 @@ from .errors import (
     SingularSolveError,
 )
 from .funcspace import FunctionVector, values_on
-from .jsonio import (cmatrix_from_json, complex_to_pair, cvector_from_json, dump_json,
-                     family_from_json, family_to_json, integer, load_json)
+from .jsonio import (complex_to_pair, dump_json, family_from_json, family_to_json, integer,
+                     load_json, pair_to_complex)
 from .models import PoleFactorModel
 
 # relative eigenvalue separation below which a pencil is treated as defective
@@ -216,21 +216,19 @@ def save(rom: ReducedModel, path):
 def load(path) -> ReducedModel:
     """Read what save writes, the provenance's tangential data as ``data``."""
     obj = load_json(path)
-    cache, data = {}, None
+    data = None
     try:
-        E = cmatrix_from_json(obj["E"], "E")
-        A = cmatrix_from_json(obj["A"], "A")
-        B, u_grid = family_from_json(obj["b_rows"], "b_rows", cache)
-        C, y_grid = family_from_json(obj["c_cols"], "c_cols", cache)
+        E = pair_to_complex(obj["E"], "E", 2)
+        A = pair_to_complex(obj["A"], "A", 2)
+        B, u_grid = family_from_json(obj["b_rows"], "b_rows")
+        C, y_grid = family_from_json(obj["c_cols"], "c_cols")
         declared_r = integer(obj["r"], f"{path}: r")
         provenance = obj.get("provenance", {})
         if "sigmas" in provenance:
-            sigmas, rhos = (cvector_from_json(provenance.pop(k), f"provenance.{k}")
+            sigmas, rhos = (pair_to_complex(provenance.pop(k), f"provenance.{k}", 1)
                             for k in ("sigmas", "rhos"))
-            (P, p_grid), (Q, q_grid) = (family_from_json(provenance.pop(k), f"provenance.{k}", cache)
+            (P, p_grid), (Q, q_grid) = (family_from_json(provenance.pop(k), f"provenance.{k}")
                                         for k in ("right_dirs", "left_dirs"))
-            if not np.isfinite(np.concatenate((sigmas, rhos))).all():
-                raise ParseError(f"{path}: provenance points must be finite")
             if (p_grid, q_grid) != (u_grid, y_grid):
                 raise ParseError(f"{path}: provenance directions do not live on the port grids")
             data = (sigmas, P, rhos, Q)

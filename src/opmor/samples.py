@@ -270,24 +270,21 @@ def save(dataset: TangentialDataset, path):
 
 def load(path) -> TangentialDataset:
     obj = load_json(path)
-    cache = {}
     try:
         rights, lefts = obj["rights"], obj["lefts"]
-        sigmas = np.array([pair_to_complex(s["sigma"], f"rights[{j}].sigma")
-                           for j, s in enumerate(rights)], dtype=np.complex128)
-        rhos = np.array([pair_to_complex(s["rho"], f"lefts[{i}].rho")
-                         for i, s in enumerate(lefts)], dtype=np.complex128)
-        P, u_grid = family_from_json(rights, "rights", cache, "p")
-        right_values, y_grid = family_from_json(rights, "rights", cache, "value")
-        Q, q_grid = family_from_json(lefts, "lefts", cache, "q")
-        left_values, lv_grid = family_from_json(lefts, "lefts", cache, "value")
+        sigmas = pair_to_complex([s["sigma"] for s in rights], "rights[*].sigma", 1)
+        rhos = pair_to_complex([s["rho"] for s in lefts], "lefts[*].rho", 1)
+        P, u_grid = family_from_json(rights, "rights", "p")
+        right_values, y_grid = family_from_json(rights, "rights", "value")
+        Q, q_grid = family_from_json(lefts, "lefts", "q")
+        left_values, lv_grid = family_from_json(lefts, "lefts", "value")
         hermites = {}
         for k, h in enumerate(obj.get("hermites", [])):
             key = (integer(h["i"], f"hermites[{k}].i", allow_zero=True),
                    integer(h["j"], f"hermites[{k}].j", allow_zero=True))
             if key in hermites:
                 raise ParseError(f"{path}: duplicate hermite entry at (left {key[0]}, right {key[1]})")
-            hermites[key] = pair_to_complex(h["value"], f"hermites[{k}].value")
+            hermites[key] = pair_to_complex(h["value"], f"hermites[{k}].value", 0)
         tol = positive_float(obj.get("coincidence_tol", DEFAULT_COINCIDENCE_TOL),
                              "coincidence_tol")
         declared_r = integer(obj["r"], "r")

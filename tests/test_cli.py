@@ -176,6 +176,8 @@ class TestPipeline:
         ("j", 0.0, "hermites[0].j must be a nonnegative integer"),
         ("coincidence_tol", "1e-10", "coincidence_tol must be positive and finite"),
         ("coincidence_tol", True, "coincidence_tol must be positive and finite"),
+        pytest.param("coincidence_tol", 10 ** 400, "coincidence_tol must be positive and finite",
+                     id="coincidence_tol-integer-beyond-float"),
         ("r", 4.0, "r must be a positive integer"),
     ])
     def test_lax_dataset_field_is_bad_input(self, pipeline, capsys, field, value, message):
@@ -299,11 +301,43 @@ class TestErrorExits:
         assert main(["irka", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
         assert "point_tol must be positive and finite" in capsys.readouterr().err
 
+    def test_point_tol_beyond_the_float_range(self, tmp_path, capsys):
+        # an integer float() cannot convert is not a finite number either
+        cfg = write_config(tmp_path / "c.json", irka={"order": 2, "point_tol": 10 ** 400})
+        assert main(["irka", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+        assert "irka.point_tol must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("point_tol", [True, "1e-3"])
     def test_non_numeric_point_tol(self, tmp_path, capsys, point_tol):
         cfg = write_config(tmp_path / "c.json", irka={"order": 2, "point_tol": point_tol})
         assert main(["irka", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
         assert "irka.point_tol must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("close", ["false", "true", 0, 1, None])
+    def test_conjugate_close_must_be_a_boolean(self, tmp_path, capsys, close):
+        cfg = write_config(tmp_path / "c.json", sample=dict(SAMPLE_BLOCK, conjugate_close=close))
+        out = tmp_path / "x.json"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+        assert "sample.conjugate_close must be true or false" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_conjugate_close_false_adds_no_partners(self, tmp_path):
+        # one complex point each side: closure would make the data order 2
+        block = {"sigmas": [[5.0, 1.0]], "rhos": [[5.0, 1.0]],
+                 "right_dirs": ["mode:1,1"], "left_dirs": ["mode:1,1"]}
+        orders = []
+        for close in (False, True):
+            cfg = write_config(tmp_path / "c.json", sample=dict(block, conjugate_close=close))
+            assert main(["sample", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 0
+            orders.append(json.loads((tmp_path / "d.json").read_text())["r"])
+        assert orders == [1, 2]
+
+    @pytest.mark.parametrize("bounds", [[False, 0.3], ["0.1", 0.3], [0.1, None]])
+    def test_patch_bounds_must_be_numbers(self, tmp_path, capsys, bounds):
+        model = dict(MODEL_BLOCK, con_patch={"x": bounds, "y": [0.1, 0.3]})
+        cfg = write_config(tmp_path / "c.json", model=model)
+        assert main(["h2", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+        assert "bad patch spec at model.con_patch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model, field", [
         ({"n_modes": True}, "model.n_modes"), ({"n_modes": 6.0}, "model.n_modes"),
@@ -480,3 +514,96 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", pipeline["config"], "--rom", pipeline["rom"],
                    "--input", str(inp), "--out", str(pipeline["dir"] / "y.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("horizon", ["inf", "1e400", "nan", "-0.5", "0"])
+    def test_unusable_horizon_is_bad_input(self, pipeline, capsys, horizon):
+        inp = pipeline["dir"] / "input.csv"
+        self.write_input(inp, MODEL_BLOCK["quad_order"] ** 2)
+        out = pipeline["dir"] / "y.csv"
+        rc = main(["simulate", "--config", pipeline["config"], "--rom", pipeline["rom"],
+                   "--input", str(inp), "--out", str(out), "--T", horizon])
+        assert rc == 2
+        assert "--T must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, col, token", [(3, 0, "nan"), (5, 7, "nan"),
+                                                 (2, 4, "-inf"), (4, 1, "1e400")])
+    def test_non_finite_signal_is_bad_input(self, pipeline, capsys, row, col, token):
+        inp = pipeline["dir"] / "input.csv"
+        self.write_input(inp, MODEL_BLOCK["quad_order"] ** 2)
+        lines = inp.read_text().splitlines()
+        cols = lines[row + 1].split(",")
+        cols[col] = token
+        lines[row + 1] = ",".join(cols)
+        inp.write_text("\n".join(lines) + "\n")
+        out = pipeline["dir"] / "y.csv"
+        rc = main(["simulate", "--config", pipeline["config"], "--rom", pipeline["rom"],
+                   "--input", str(inp), "--out", str(out)])
+        assert rc == 2
+        assert f"column {col} of time row {row} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def write_corrupted(src, dst, path, token):
+    """Copy the JSON file src to dst with the entry at the key path
+    replaced by the raw JSON text token (such as NaN or 1e400)."""
+    obj = json.loads(open(src).read())
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@BAD@"
+    dst.write_text(json.dumps(obj).replace('"@BAD@"', token))
+    return str(dst)
+
+
+class TestNonFiniteArtifacts:
+    """NaN and numbers beyond the float range in data.json and rom.json are
+    unusable input, caught where the file is read, named by field."""
+
+    @pytest.mark.parametrize("path, where", [
+        (("rights", 1, "sigma", 0), "rights[1].sigma"),
+        (("lefts", 2, "value", "values", 5, 1), "lefts[2].value.values[5]"),
+        (("hermites", 0, "value", 0), "hermites[0].value"),
+    ])
+    @pytest.mark.parametrize("token", ["NaN", "1e400", "-Infinity"])
+    def test_dataset(self, pipeline, capsys, path, where, token):
+        bad = write_corrupted(pipeline["data"], pipeline["dir"] / "bad.json", path, token)
+        out = pipeline["dir"] / "rom_bad.json"
+        rc = main(["reduce", "--config", pipeline["config"], "--data", bad, "--out", str(out)])
+        assert rc == 2
+        assert f"{where} must be a finite point" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_beyond_the_float_range(self, pipeline, capsys):
+        bad = write_corrupted(pipeline["data"], pipeline["dir"] / "bad.json",
+                              ("hermites", 0, "value", 1), "1" + "0" * 400)
+        rc = main(["reduce", "--config", pipeline["config"], "--data", bad,
+                   "--out", str(pipeline["dir"] / "rom_bad.json")])
+        assert rc == 2
+        assert "hermites[0].value holds an integer too large for a float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, where", [
+        (("E", 0, 1, 0), "E[0][1]"),
+        (("b_rows", 1, "values", 2, 0), "b_rows[1].values[2]"),
+        (("provenance", "sigmas", 1, 1), "provenance.sigmas[1]"),
+    ])
+    @pytest.mark.parametrize("token", ["NaN", "1e400"])
+    @pytest.mark.parametrize("command", ["validate", "h2", "simulate"])
+    def test_reduced_model(self, pipeline, capsys, path, where, token, command):
+        bad = write_corrupted(pipeline["rom"], pipeline["dir"] / "bad.json", path, token)
+        signal = pipeline["dir"] / "u.csv"
+        TestSimulateCommand().write_input(signal, MODEL_BLOCK["quad_order"] ** 2)
+        out = pipeline["dir"] / "out"
+        extra = {"validate": ["--out", str(out)], "h2": ["--out", str(out)],
+                 "simulate": ["--input", str(signal), "--out", str(out)]}[command]
+        assert main([command, "--config", pipeline["config"], "--rom", bad, *extra]) == 2
+        assert f"{where} must be a finite point" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bound", ["false", '"0.1"', "null"])
+    def test_patch_bound_in_reduced_model(self, pipeline, capsys, bound):
+        bad = write_corrupted(pipeline["rom"], pipeline["dir"] / "bad.json",
+                              ("b_rows", 0, "patch", "x", 0), bound)
+        assert main(["validate", "--config", pipeline["config"], "--rom", bad]) == 2
+        assert "bad patch spec at b_rows[0].patch" in capsys.readouterr().err
+

@@ -281,6 +281,16 @@ class TestH2Error:
         assert h2_error_quadrature(toy, toy_rom) < 1e-10
         assert sizes == [h2.DEFAULT_NODES, 2 * h2.DEFAULT_NODES]
 
+    def test_full_model_norm_is_computed_once(self, heat_rom, monkeypatch):
+        # the closed sum over the full model's Grams is cached like the Grams
+        full = FullModel(heat_rom.u_grid, heat_rom.y_grid, 8)
+        seen = []
+        grams = h2._port_grams
+        monkeypatch.setattr(h2, "_port_grams", lambda model: seen.append(model) or grams(model))
+        first, second = h2_error(full, heat_rom), h2_error(full, heat_rom)
+        assert second == first
+        assert sum(model is full for model in seen) == 1
+
     def test_triangle_sanity(self, heat, heat_rom):
         bound = (h2_norm(heat) + h2_norm(heat_rom)) ** 2
         assert h2_error(heat, heat_rom) <= bound + 1e-9

@@ -46,6 +46,12 @@ class TestEigenvalue:
     def test_domain(self):
         with pytest.raises(ValueError):
             eigenvalue(0, 1)
+        with pytest.raises(ValueError):
+            eigenvalue(np.array([1, 2]), np.array([1, 0]))
+
+    def test_arrays_match_scalars(self):
+        n, m = np.array([1, 2, 5]), np.array([3, 1, 5])
+        assert eigenvalue(n, m).tolist() == [eigenvalue(1, 3), eigenvalue(2, 1), eigenvalue(5, 5)]
 
     def test_truncation_validation(self):
         with pytest.raises(ValueError, match="n_max"):
@@ -59,6 +65,20 @@ class TestModelStructure:
         assert model.poles.shape == (9,)
         assert np.all(np.real(model.poles) < 0)
         assert np.max(np.real(model.poles)) == pytest.approx(-2 * np.pi**2)
+
+    @pytest.mark.parametrize("n_max, order", [(1, 16), (7, 18), (12, 28)])
+    def test_tables_match_per_mode_construction_bitwise(self, n_max, order):
+        # the Kronecker tables against one restrict_mode/eigenvalue call per mode
+        obs = Patch(0.55, 0.8, 0.6, 0.85)
+        model = FullModel(QuadratureGrid(CON, order), QuadratureGrid(obs, order + 1), n_max)
+        modes = [(n, m) for n in range(1, n_max + 1) for m in range(1, n_max + 1)]
+        assert model.modes.tolist() == [list(nm) for nm in modes]
+        for got, grid in ((model.input_factors, model.con_grid),
+                          (model.output_factors, model.obs_grid)):
+            want = np.array([restrict_mode(n, m, grid).values for n, m in modes])
+            assert got.tobytes() == want.tobytes()
+        want = np.array([eigenvalue(n, m) for n, m in modes], dtype=np.complex128)
+        assert model.poles.tobytes() == want.tobytes()
 
     def test_hs_tail_budget_decays(self):
         # sum over n^2+m^2 > K of 1/(n^2+m^2)^2 is O(1/K); check the partial

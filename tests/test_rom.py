@@ -7,7 +7,7 @@ from opmor import h2
 from opmor.errors import ConditioningError, ParseError, SemiSimplicityError, SingularSolveError
 from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
 from opmor.heat2d import FullModel
-from opmor.jsonio import fv_to_json
+from opmor.jsonio import family_to_json
 from opmor.loewner import assemble
 from opmor.rom import ReducedModel, load, pole_residue, save, simulate
 from opmor.samples import collect
@@ -410,7 +410,7 @@ class TestSaveLoad:
         obj = json.loads(path.read_text())
         obj["provenance"][key][1] = point
         path.write_text(json.dumps(obj))
-        with pytest.raises(ParseError, match="points must be finite"):
+        with pytest.raises(ParseError, match=rf"provenance.{key}\[1\] must be a finite point"):
             load(path)
 
     def test_directions_off_the_port_grids_rejected(self, heat_rom, tmp_path):
@@ -444,7 +444,8 @@ class TestSaveLoad:
         save(heat_rom, path)
         obj = json.loads(path.read_text())
         grid = heat_rom.u_grid if family == "b_rows" else heat_rom.y_grid
-        obj[family][1] = fv_to_json(constant(QuadratureGrid(grid.patch, grid.order + 1)))
+        other = QuadratureGrid(grid.patch, grid.order + 1)
+        obj[family][1] = family_to_json(constant(other).values[None, :], other)[0]
         path.write_text(json.dumps(obj))
         with pytest.raises(ParseError, match="one grid"):
             load(path)

@@ -2,6 +2,8 @@
 imports a name it never uses, every top-level function and class in
 src/opmor is reached from the package itself, the scripts or the benchmark,
 and src/opmor imports nothing but the standard library, numpy and itself.
+Only jsonio, the file formats' one encoder and decoder, and config, which
+hashes the raw bytes it parses, import json.
 A definition that only tests call belongs in tests/ (see tests/oracles.py).
 
 References are read with ast: names, attribute names, imported names and
@@ -104,3 +106,11 @@ def test_package_needs_only_stdlib_and_numpy():
             foreign += [f"{path.relative_to(ROOT)}:{node.lineno} {root}"
                         for root in roots if root not in allowed]
     assert not foreign, "imports beyond the stdlib and numpy:\n" + "\n".join(foreign)
+
+
+def test_only_jsonio_and_config_import_json():
+    importers = sorted(path.name for path in PACKAGE
+                       for node in ast.walk(parse(path))
+                       if (isinstance(node, ast.Import) and any(a.name == "json" for a in node.names))
+                       or (isinstance(node, ast.ImportFrom) and node.module == "json"))
+    assert importers == ["config.py", "jsonio.py"]
