@@ -56,7 +56,8 @@ class QuadratureGrid:
     integrates polynomials of degree up to 2*order - 1 in each variable
     exactly. Nodes are stored x-major: node index k = i*order + j refers to
     (x_i, y_j). The node order is part of the format; serialized values
-    rely on it.
+    rely on it. ``axis_nodes`` = (x, y) and ``axis_weights`` = (wx, wy) are
+    the 1-D rules; ``weights`` is their outer product, flattened.
     """
 
     def __init__(self, patch: Patch, order: int):
@@ -70,10 +71,12 @@ class QuadratureGrid:
         nodes[:, 0] = np.repeat(x, self.order)
         nodes[:, 1] = np.tile(y, self.order)
         weights = np.outer(wx, wy).ravel()
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
+        for arr in (nodes, weights, x, y, wx, wy):
+            arr.setflags(write=False)
         self.nodes = nodes
         self.weights = weights
+        self.axis_nodes = (x, y)
+        self.axis_weights = (wx, wy)
 
     @property
     def size(self) -> int:

@@ -8,9 +8,15 @@ series
 
     G(s)[p] = sum_nm <1_con p, phi_nm> / (s - lam_nm) * phi_nm|obs,
 
-truncated at n, m <= n_max. All evaluations reduce to dense products with
-precomputed mode-value matrices; modes are ordered (n, m) lexicographically
-and that order is fixed for reproducibility.
+truncated at n, m <= n_max. Modes are ordered (n, m) lexicographically and
+that order is fixed for reproducibility. On a tensor grid each mode value
+is a product of 1-D sine tables, phi_nm(x_i, y_j) = Sx[n, i] Sy[m, j], so
+the pairing of node values F (an x-by-y array) with every mode is
+(Sx wx) F (Sy wy)^T and the expansion of an n-by-m coefficient array X is
+Sx^T X Sy: two small products per port instead of a K x nodes table, and
+the port Grams are Kronecker products of 1-D Grams. The dense mode-value
+tables are still built, bit for bit as restrict_mode gives them, for the
+default directions and as the oracle of the separable path.
 
 The truncation tail is summable: the neglected Hilbert-Schmidt mass on the
 imaginary axis is bounded by sum_{n^2+m^2 > K} 1/(pi^2(n^2+m^2))^2, which is
@@ -36,6 +42,14 @@ def eigenvalue(n, m):
     return -np.pi**2 * (n * n + m * m)
 
 
+def _separable(rows, left, right):
+    """left F right^T for every row F of rows, read as a left.shape[1] x
+    right.shape[1] array; one row or stacked rows, flattened back."""
+    lead = rows.shape[:-1]
+    out = left @ rows.reshape(lead + (left.shape[1], right.shape[1])) @ right.T
+    return out.reshape(lead + (left.shape[0] * right.shape[0],))
+
+
 def default_quad_order(n_max: int) -> int:
     """Nodes per axis that resolve all retained modes on the benchmark patches."""
     return max(16, 2 * n_max + 4)
@@ -59,18 +73,41 @@ class FullModel(PoleFactorModel):
             raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
         n = np.arange(1, n_max + 1)
         modes = np.stack(np.meshgrid(n, n, indexing="ij"), axis=-1).reshape(-1, 2)
-        tables = []
+        tables, sines = [], []
         for g in (con_grid, obs_grid):
+            sx = 2.0 * np.sin(n[:, None] * np.pi * g.axis_nodes[0])
+            sy = np.sin(n[:, None] * np.pi * g.axis_nodes[1])
             # restrict_mode's values for every (n, m), bit for bit, as a Kronecker product of
-            # 1-D sine tables written into the real part (a real temporary costs peak RSS)
+            # the 1-D sine tables written into the real part (a real temporary costs peak RSS)
             table = np.zeros((n_max, n_max, g.order, g.order), dtype=np.complex128)
-            np.multiply((2.0 * np.sin(n[:, None] * np.pi * g.nodes[::g.order, 0]))[:, None, :, None],
-                        np.sin(n[:, None] * np.pi * g.nodes[:g.order, 1])[:, None, :], out=table.real)
+            np.multiply(sx[:, None, :, None], sy[:, None, :], out=table.real)
             tables.append(table.reshape(n_max**2, g.size))
+            sines.append(((sx * g.axis_weights[0], sy * g.axis_weights[1]), (sx.T, sy.T)))
         super().__init__(con_grid, obs_grid, eigenvalue(modes[:, 0], modes[:, 1]), *tables)
+        # per port, the (left, right) factors of _separable for pairing and for expansion
+        (self._con_pairing, self._con_expansion), (self._obs_pairing, self._obs_expansion) = sines
         self.n_max = n_max
         self.modes = modes
         self.modes.setflags(write=False)
+
+    def pair_con(self, values):
+        return _separable(values, *self._con_pairing)
+
+    def pair_obs(self, values):
+        return _separable(values, *self._obs_pairing)
+
+    def expand_con(self, coef):
+        return _separable(coef, *self._con_expansion)
+
+    def expand_obs(self, coef):
+        return _separable(coef, *self._obs_expansion)
+
+    def port_grams(self):
+        """kron(Gx, Gy) of the n_max x n_max Grams of the 1-D sine tables,
+        per port; the modes are real, so GU and GY are real symmetric."""
+        return tuple(np.kron(wsx @ sxt, wsy @ syt) for (wsx, wsy), (sxt, syt)
+                     in ((self._con_pairing, self._con_expansion),
+                         (self._obs_pairing, self._obs_expansion)))
 
     def mode_label(self, k):
         return (int(self.modes[k, 0]), int(self.modes[k, 1]))

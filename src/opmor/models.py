@@ -7,7 +7,11 @@ Every full-order model in this package has the form
 with input factors u_k in U = L2(con patch), output factors y_k in
 Y = L2(obs patch) and poles lam_k. The heat benchmark has one term per
 retained eigenmode. Adjoint and derivative evaluations and exact time
-stepping all follow from this form, so they are implemented once here.
+stepping all follow from this form, so they are implemented once here, on
+two maps per port: the pairing map from node values to the coefficients
+<f, u_k> (or <g, y_k>) and the expansion map from coefficients to the node
+values of sum_k c_k u_k (or y_k). The default maps are dense products with
+the factor tables; a model with structure overrides only the maps.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ class PoleFactorModel:
     Holds ``poles`` (K,), ``input_factors`` (K x con nodes) and
     ``output_factors`` (K x obs nodes), the node values of the u_k and y_k,
     on the two grids. ``heat2d.FullModel`` builds these from the heat
-    benchmark; ``rom.pole_residue`` builds one directly.
+    benchmark and evaluates through its separable structure instead;
+    ``rom.pole_residue`` builds one directly.
     """
 
     def __init__(self, con_grid: QuadratureGrid, obs_grid: QuadratureGrid,
@@ -85,16 +90,35 @@ class PoleFactorModel:
             raise PoleProximityError(s, complex(self.poles[k]), self.mode_label(k))
         return s
 
-    def _input_coefficients(self, p: FunctionVector):
-        return self._in_pair @ values_on(p, self.con_grid)
+    # Each map takes one row (nodes,) or (K,), or stacked rows (r, nodes) or
+    # (r, K), and maps the last axis.
+    def pair_con(self, values):
+        """<f, u_k>_U for every k, from the node values of f on con_grid."""
+        return (self._in_pair @ values.T).T
+
+    def pair_obs(self, values):
+        """<g, y_k>_Y for every k, from the node values of g on obs_grid."""
+        return (self._out_pair @ values.T).T
+
+    def expand_con(self, coef):
+        """Node values on con_grid of sum_k coef_k u_k."""
+        return (self.input_factors.T @ coef.T).T
+
+    def expand_obs(self, coef):
+        """Node values on obs_grid of sum_k coef_k y_k."""
+        return (self.output_factors.T @ coef.T).T
+
+    def port_grams(self):
+        """(GU, GY) with GU[k,l] = <u_l, u_k>_U and GY[k,l] = <y_k, y_l>_Y
+        where the model's structure gives them directly, else None (h2 then
+        contracts the factor tables)."""
+        return None
 
     def apply_tf(self, s, p: FunctionVector) -> FunctionVector:
         """G(s)[p] over the observation grid."""
         s = self._check_point(s)
-        coef = self._input_coefficients(p)
-        return FunctionVector(
-            self.obs_grid, self.output_factors.T @ (coef / (s - self.poles))
-        )
+        coef = self.pair_con(values_on(p, self.con_grid))
+        return FunctionVector(self.obs_grid, self.expand_obs(coef / (s - self.poles)))
 
     def apply_tf_adjoint(self, s, q: FunctionVector) -> FunctionVector:
         """Hilbert adjoint G(s)^+[q] over the control grid.
@@ -102,19 +126,15 @@ class PoleFactorModel:
         Satisfies <apply_tf(s, p), q>_Y = <p, apply_tf_adjoint(s, q)>_U.
         """
         s = self._check_point(s)
-        coef = self._out_pair @ values_on(q, self.obs_grid)
-        return FunctionVector(
-            self.con_grid,
-            self.input_factors.T @ (np.conj(1.0 / (s - self.poles)) * coef),
-        )
+        coef = self.pair_obs(values_on(q, self.obs_grid))
+        return FunctionVector(self.con_grid,
+                              self.expand_con(np.conj(1.0 / (s - self.poles)) * coef))
 
     def apply_tf_derivative(self, s, p: FunctionVector) -> FunctionVector:
         """d/ds G(s)[p] = -C (s - A)^{-2} B [p] over the observation grid."""
         s = self._check_point(s)
-        coef = self._input_coefficients(p)
-        return FunctionVector(
-            self.obs_grid, -(self.output_factors.T @ (coef / (s - self.poles) ** 2))
-        )
+        coef = self.pair_con(values_on(p, self.con_grid))
+        return FunctionVector(self.obs_grid, -self.expand_obs(coef / (s - self.poles) ** 2))
 
     def simulate(self, u, T, dt):
         """March the diagonal state exactly against piecewise-linear input.
@@ -137,7 +157,7 @@ class PoleFactorModel:
             )
         ucoef = np.empty((n_steps + 1, self.poles.size), dtype=np.complex128)
         for k in range(n_steps + 1):
-            ucoef[k] = self._input_coefficients(u[k])
+            ucoef[k] = self.pair_con(values_on(u[k], self.con_grid))
         z = self.poles * dt
         ez = np.exp(z)
         c1 = dt * phi1(z)
@@ -146,6 +166,6 @@ class PoleFactorModel:
         out = [FunctionVector(self.obs_grid, np.zeros(self.obs_grid.size, dtype=np.complex128))]
         for k in range(n_steps):
             x = ez * x + c1 * ucoef[k] + c2 * (ucoef[k + 1] - ucoef[k])
-            out.append(FunctionVector(self.obs_grid, self.output_factors.T @ x))
+            out.append(FunctionVector(self.obs_grid, self.expand_obs(x)))
         return out
 

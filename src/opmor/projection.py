@@ -80,8 +80,8 @@ def build_bases(model: FullModel, sigmas, ps, rhos, qs):
     sigmas = np.array([model._check_point(s) for s in sigmas], dtype=complex)
     rhos = np.array([model._check_point(t) for t in rhos], dtype=complex)
     lam = model.poles.real
-    V = ModalBasisMatrix("V", model._in_pair @ P.T / (sigmas - lam[:, None]), sigmas, P)
-    W = ModalBasisMatrix("W", np.conj(Q @ model._out_pair.T) / (rhos[:, None] - lam), rhos, Q)
+    V = ModalBasisMatrix("V", model.pair_con(P).T / (sigmas - lam[:, None]), sigmas, P)
+    W = ModalBasisMatrix("W", np.conj(model.pair_obs(Q)) / (rhos[:, None] - lam), rhos, Q)
     V.check_rank()
     W.check_rank()
     return V, W
@@ -101,8 +101,8 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix)
     lam = model.poles.real
     E = W.coeffs @ V.coeffs
     A = W.coeffs @ (lam[:, None] * V.coeffs)
-    B = np.conj(W.coeffs) @ model.input_factors
-    C = V.coeffs.T @ model.output_factors
+    B = model.expand_con(np.conj(W.coeffs))
+    C = model.expand_obs(V.coeffs.T)
     data = None
     if V.points is not None and W.points is not None:
         data = (V.points, V.directions, W.points, W.directions)
@@ -118,7 +118,7 @@ def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix)
 def sylvester_residual_right(model: FullModel, V: ModalBasisMatrix, sigmas, ps):
     """Frobenius residual of V diag(sigma) - A V = [B p_1 ... B p_r] in modal
     coordinates; returns (absolute, relative)."""
-    B = model._in_pair @ directions(ps, model.con_grid, "right").T
+    B = model.pair_con(directions(ps, model.con_grid, "right")).T
     if B.size == 0:
         return 0.0, 0.0
     lam = model.poles.real
@@ -130,7 +130,7 @@ def sylvester_residual_right(model: FullModel, V: ModalBasisMatrix, sigmas, ps):
 def sylvester_residual_left(model: FullModel, W: ModalBasisMatrix, rhos, qs):
     """Frobenius residual of diag(rho) W - W A = [C* q_1; ...; C* q_r] in the
     same pairing coordinates as W; returns (absolute, relative)."""
-    C = np.conj(directions(qs, model.obs_grid, "left") @ model._out_pair.T)
+    C = np.conj(model.pair_obs(directions(qs, model.obs_grid, "left")))
     if C.size == 0:
         return 0.0, 0.0
     lam = model.poles.real

@@ -8,6 +8,8 @@ import importlib.util
 from pathlib import Path
 
 from opmor.config import build_model
+from opmor.heat2d import FullModel
+from opmor.models import PoleFactorModel
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -39,3 +41,14 @@ def test_model_size_annotation_reads_full_model():
     })
     sizes = tracer.ANNOTATE["config.build_model"](None, None, model)
     assert sizes["table_bytes"] > sizes["eval_bytes"] > 0
+
+
+def test_full_model_inherits_the_traced_methods():
+    # the tracer patches these on PoleFactorModel; an override on FullModel
+    # would take every full-model evaluation past the patch, uncounted
+    tracer = load_tracer()
+    traced = [attr.split(".")[1] for _, attr in tracer.LAYERS
+              if attr.startswith("PoleFactorModel.")]
+    assert set(traced) == {"apply_tf", "apply_tf_adjoint", "apply_tf_derivative", "simulate"}
+    assert not set(traced) & set(vars(FullModel))
+    assert set(traced) <= set(vars(PoleFactorModel))

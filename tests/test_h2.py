@@ -97,6 +97,20 @@ class TestFrequencyQuadrature:
         f = 1.0 / ((1.0 + quad.omegas ** 2) * (4.0 + quad.omegas ** 2))
         assert quad.integrate(f) == pytest.approx(np.pi / 6, rel=1e-12)
 
+    def test_rule_is_built_once_per_node_count(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or leggauss(n))
+        h2._frequency_rule.cache_clear()
+        first, second = FrequencyQuadrature(128), FrequencyQuadrature(128)
+        assert calls == [128]
+        assert second.omegas is first.omegas and second.weights is first.weights
+        h2._frequency_rule.cache_clear()
+        fresh = FrequencyQuadrature(128)
+        assert fresh.omegas.tobytes() == first.omegas.tobytes()
+        assert fresh.weights.tobytes() == first.weights.tobytes()
+
     def test_doubling_changes_little(self):
         vals = []
         for n in (256, 512):

@@ -13,7 +13,8 @@ from opmor.funcspace import (
     restrict_mode,
 )
 from opmor.heat2d import FullModel, default_quad_order, eigenvalue
-from opmor.models import phi1, phi2
+from opmor.h2 import _grams
+from opmor.models import PoleFactorModel, phi1, phi2
 
 CON = Patch(0.1, 0.3, 0.1, 0.3)
 OBS = Patch(0.6, 0.8, 0.6, 0.8)
@@ -322,3 +323,93 @@ class TestSimulate:
             model.simulate(u, T=1.0, dt=0.01)  # not enough samples
         with pytest.raises(GridMismatchError):
             model.simulate([constant(model.obs_grid)] * 3, T=0.02, dt=0.01)
+
+
+# The separable path sums the same products of O(1) factors as the dense
+# tables, in another order. A pairing sums q^2 node terms (q = 64 nodes per
+# axis at n_modes 30, so 4096) and an expansion up to 900 mode terms, so at
+# most 900 q^2 products feed one output value. Random-walk round-off puts
+# the gap near u (sqrt(q^2) + sqrt(900)) ~ 1e-14 relative to the output for
+# random directions, whose sums cancel little; the cases below measure
+# <= 2.3e-14. 1e-13 keeps a 4x margin, while a wrong weight, a swapped axis
+# or a transposed table moves the results at O(1).
+SEPARABLE_RTOL = 1e-13
+
+
+def rel_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.fixture(scope="module", params=[12, 30])
+def separable_pair(request):
+    """A FullModel on patches of unequal size and order, and a plain
+    PoleFactorModel over the same dense tables: the dense oracle."""
+    n_max = request.param
+    order = default_quad_order(n_max)
+    model = FullModel(QuadratureGrid(CON, order),
+                      QuadratureGrid(Patch(0.45, 0.9, 0.6, 0.75), order + 3), n_max)
+    dense = PoleFactorModel(model.con_grid, model.obs_grid, model.poles,
+                            model.input_factors, model.output_factors)
+    return model, dense
+
+
+def random_rows(grid, r, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((r, grid.size)) + 1j * rng.standard_normal((r, grid.size))
+
+
+class TestSeparablePath:
+    POINTS = [3.0, 2.5 + 40j, -1.0 - 7j]
+
+    def test_maps_match_dense_tables(self, separable_pair):
+        model, dense = separable_pair
+        P, Q = random_rows(model.con_grid, 3, 1), random_rows(model.obs_grid, 3, 2)
+        rng = np.random.default_rng(3)
+        coef = rng.standard_normal((3, model.poles.size)) + 1j * rng.standard_normal((3, model.poles.size))
+        for name, rows in (("pair_con", P), ("pair_obs", Q),
+                           ("expand_con", coef), ("expand_obs", coef)):
+            want = getattr(dense, name)(rows)
+            stacked = getattr(model, name)(rows)
+            assert stacked.shape == want.shape
+            assert rel_gap(stacked, want) < SEPARABLE_RTOL, name
+            single = getattr(model, name)(rows[1])
+            assert single.shape == want[1].shape
+            assert rel_gap(single, want[1]) < SEPARABLE_RTOL, name
+
+    def test_evaluations_match_dense_tables(self, separable_pair):
+        model, dense = separable_pair
+        ps = [FunctionVector(model.con_grid, p) for p in random_rows(model.con_grid, 3, 4)]
+        qs = [FunctionVector(model.obs_grid, q) for q in random_rows(model.obs_grid, 3, 5)]
+        for s, p, q in zip(self.POINTS, ps, qs):
+            for got, want in ((model.apply_tf(s, p), dense.apply_tf(s, p)),
+                              (model.apply_tf_adjoint(s, q), dense.apply_tf_adjoint(s, q)),
+                              (model.apply_tf_derivative(s, p),
+                               dense.apply_tf_derivative(s, p))):
+                assert got.grid == want.grid
+                assert rel_gap(got.values, want.values) < SEPARABLE_RTOL
+
+    def test_adjoint_identity(self, separable_pair):
+        model, _ = separable_pair
+        p = FunctionVector(model.con_grid, random_rows(model.con_grid, 1, 6)[0])
+        q = FunctionVector(model.obs_grid, random_rows(model.obs_grid, 1, 7)[0])
+        for s in self.POINTS:
+            lhs = inner_product(model.apply_tf(s, p), q)
+            rhs = inner_product(p, model.apply_tf_adjoint(s, q))
+            assert abs(lhs - rhs) < SEPARABLE_RTOL * abs(lhs)
+
+    def test_simulate_matches_dense_tables(self, separable_pair):
+        model, dense = separable_pair
+        u = [FunctionVector(model.con_grid, row) for row in random_rows(model.con_grid, 6, 8)]
+        got, want = model.simulate(u, T=0.05, dt=0.01), dense.simulate(u, T=0.05, dt=0.01)
+        scale = max(np.linalg.norm(y.values) for y in want)
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g.values - w.values) <= SEPARABLE_RTOL * scale
+
+    def test_port_grams_match_dense_contraction(self, separable_pair):
+        model, dense = separable_pair
+        assert dense.port_grams() is None
+        for got, want in zip(model.port_grams(),
+                             _grams(model.input_factors, model.output_factors,
+                                    model.con_grid, model.obs_grid)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < SEPARABLE_RTOL * np.max(np.abs(want))
