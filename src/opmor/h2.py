@@ -94,22 +94,21 @@ def _grams(U, Y, u_grid, y_grid):
 
 
 def _port_grams(model):
-    """The model's port_grams, or else the _grams of its input and output
-    factors, cached on the model (its factors are immutable)."""
+    """GU * GY, the elementwise product of the model's port_grams, or else
+    of the _grams of its input and output factors; the only Gram term the
+    H2 and Hilbert-Schmidt sums read, cached on the model (its factors are
+    immutable)."""
     cached = getattr(model, "_h2_grams", None)
     if cached is None:
-        cached = model.port_grams()
-        if cached is None:
-            cached = _grams(model.input_factors, model.output_factors,
-                            model.con_grid, model.obs_grid)
-        model._h2_grams = cached
+        GU, GY = model.port_grams() or _grams(model.input_factors, model.output_factors,
+                                              model.con_grid, model.obs_grid)
+        cached = model._h2_grams = GU * GY
     return cached
 
 
 def _hs_sq_factor(model, s):
-    GU, GY = _port_grams(model)
     alpha = 1.0 / (s - model.poles)
-    return float(np.real(alpha @ ((GU * GY) @ np.conj(alpha))))
+    return float(np.real(alpha @ (_port_grams(model) @ np.conj(alpha))))
 
 
 def hs_norm(system, s) -> float:
@@ -122,9 +121,8 @@ def hs_norm(system, s) -> float:
 def _h2_sq_closed(model) -> float:
     """||G||^2 by the closed double series, cached on the model like _port_grams."""
     if getattr(model, "_h2_sq", None) is None:
-        GU, GY = _port_grams(model)
-        lam = model.poles
-        model._h2_sq = float(np.real(np.sum(GU * GY / -(lam[:, None] + np.conj(lam[None, :])))))
+        gram, lam = _port_grams(model), model.poles
+        model._h2_sq = float(np.real(np.sum(gram / -(lam[:, None] + np.conj(lam[None, :])))))
     return model._h2_sq
 
 

@@ -14,9 +14,12 @@ is a product of 1-D sine tables, phi_nm(x_i, y_j) = Sx[n, i] Sy[m, j], so
 the pairing of node values F (an x-by-y array) with every mode is
 (Sx wx) F (Sy wy)^T and the expansion of an n-by-m coefficient array X is
 Sx^T X Sy: two small products per port instead of a K x nodes table, and
-the port Grams are Kronecker products of 1-D Grams. The dense mode-value
-tables are still built, bit for bit as restrict_mode gives them, for the
-default directions and as the oracle of the separable path.
+the port Grams are Kronecker products of 1-D Grams. The model keeps only
+the poles, the modes and those 1-D tables. The dense K x nodes mode-value
+tables (236 MB at n_max 30) are built on demand, bit for bit as
+restrict_mode gives them, when something reads them: the benchmark's size
+annotation and the tests, which use them as the oracle of the separable
+path.
 
 The truncation tail is summable: the neglected Hilbert-Schmidt mass on the
 imaginary axis is bounded by sum_{n^2+m^2 > K} 1/(pi^2(n^2+m^2))^2, which is
@@ -27,6 +30,8 @@ tests use partial sums of these series as tail budgets.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -48,6 +53,19 @@ def _separable(rows, left, right):
     lead = rows.shape[:-1]
     out = left @ rows.reshape(lead + (left.shape[1], right.shape[1])) @ right.T
     return out.reshape(lead + (left.shape[0] * right.shape[0],))
+
+
+def _mode_table(sxt, syt):
+    """restrict_mode's values for every (n, m), bit for bit, as read-only
+    K x nodes rows: the Kronecker product of the 1-D sine tables Sx, Sy
+    (given transposed) written into the real part (a real temporary costs
+    peak RSS)."""
+    sx, sy = sxt.T, syt.T
+    table = np.zeros((sx.shape[0], sy.shape[0], sx.shape[1], sy.shape[1]), dtype=np.complex128)
+    np.multiply(sx[:, None, :, None], sy[:, None, :], out=table.real)
+    table = table.reshape(sx.shape[0] * sy.shape[0], sx.shape[1] * sy.shape[1])
+    table.setflags(write=False)
+    return table
 
 
 def default_quad_order(n_max: int) -> int:
@@ -73,22 +91,26 @@ class FullModel(PoleFactorModel):
             raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
         n = np.arange(1, n_max + 1)
         modes = np.stack(np.meshgrid(n, n, indexing="ij"), axis=-1).reshape(-1, 2)
-        tables, sines = [], []
+        self._init_poles(con_grid, obs_grid, eigenvalue(modes[:, 0], modes[:, 1]))
+        sines = []
         for g in (con_grid, obs_grid):
             sx = 2.0 * np.sin(n[:, None] * np.pi * g.axis_nodes[0])
             sy = np.sin(n[:, None] * np.pi * g.axis_nodes[1])
-            # restrict_mode's values for every (n, m), bit for bit, as a Kronecker product of
-            # the 1-D sine tables written into the real part (a real temporary costs peak RSS)
-            table = np.zeros((n_max, n_max, g.order, g.order), dtype=np.complex128)
-            np.multiply(sx[:, None, :, None], sy[:, None, :], out=table.real)
-            tables.append(table.reshape(n_max**2, g.size))
             sines.append(((sx * g.axis_weights[0], sy * g.axis_weights[1]), (sx.T, sy.T)))
-        super().__init__(con_grid, obs_grid, eigenvalue(modes[:, 0], modes[:, 1]), *tables)
         # per port, the (left, right) factors of _separable for pairing and for expansion
         (self._con_pairing, self._con_expansion), (self._obs_pairing, self._obs_expansion) = sines
         self.n_max = n_max
         self.modes = modes
         self.modes.setflags(write=False)
+
+    # the dense mode-value tables, built on first read; no evaluation reads them
+    @functools.cached_property
+    def input_factors(self):
+        return _mode_table(*self._con_expansion)
+
+    @functools.cached_property
+    def output_factors(self):
+        return _mode_table(*self._obs_expansion)
 
     def pair_con(self, values):
         return _separable(values, *self._con_pairing)

@@ -105,13 +105,17 @@ def _matched_movement(old, new) -> float:
 
 def _default_init(full, r):
     """Points log-spaced over the decade above the slowest pole and the
-    lowest r retained input/output factors, phase-fixed."""
-    if r > full.poles.size:
-        raise ValueError(f"default init needs r <= {full.poles.size} retained modes, got r = {r}")
+    lowest r retained input/output factors, phase-fixed. The factors are
+    expanded from complex unit coefficient rows, which reproduces the
+    factor table rows bit for bit without building the tables."""
+    K = full.poles.size
+    if r > K:
+        raise ValueError(f"default init needs r <= {K} retained modes, got r = {r}")
     slowest = np.min(np.abs(full.poles))
+    lowest = np.eye(r, K, dtype=np.complex128)
     return (np.logspace(0.0, np.log10(10.0 * slowest), r),
-            _fix_phase(full.input_factors[:r], full.con_grid),
-            _fix_phase(full.output_factors[:r], full.obs_grid))
+            _fix_phase(full.expand_con(lowest), full.con_grid),
+            _fix_phase(full.expand_obs(lowest), full.obs_grid))
 
 
 def run(full, config: IrkaConfig):

@@ -16,6 +16,8 @@ the factor tables; a model with structure overrides only the maps.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import PoleProximityError
@@ -53,30 +55,46 @@ class PoleFactorModel:
 
     Holds ``poles`` (K,), ``input_factors`` (K x con nodes) and
     ``output_factors`` (K x obs nodes), the node values of the u_k and y_k,
-    on the two grids. ``heat2d.FullModel`` builds these from the heat
-    benchmark and evaluates through its separable structure instead;
-    ``rom.pole_residue`` builds one directly.
+    on the two grids; ``rom.pole_residue`` builds one directly. The
+    weight-folded pairing rows are built from the factor tables on first
+    use. ``heat2d.FullModel`` evaluates through its separable structure
+    instead and builds its dense tables only when something reads them.
     """
 
     def __init__(self, con_grid: QuadratureGrid, obs_grid: QuadratureGrid,
                  poles, input_factors, output_factors,
                  pole_tol: float = DEFAULT_POLE_TOL):
-        self.con_grid = con_grid
-        self.obs_grid = obs_grid
-        self.poles = np.asarray(poles, dtype=np.complex128).reshape(-1)
+        self._init_poles(con_grid, obs_grid, poles, pole_tol)
         self.input_factors = np.asarray(input_factors, dtype=np.complex128)
         self.output_factors = np.asarray(output_factors, dtype=np.complex128)
         if self.input_factors.shape != (self.poles.size, con_grid.size):
             raise ValueError("input factor array has wrong shape")
         if self.output_factors.shape != (self.poles.size, obs_grid.size):
             raise ValueError("output factor array has wrong shape")
-        self.pole_tol = float(pole_tol)
-        # weight-folded pairing rows: <f, u_k> = _in_pair[k] @ f.values
-        self._in_pair = np.conj(self.input_factors) * con_grid.weights
-        self._out_pair = np.conj(self.output_factors) * obs_grid.weights
-        for arr in (self.poles, self.input_factors, self.output_factors,
-                    self._in_pair, self._out_pair):
+        for arr in (self.input_factors, self.output_factors):
             arr.setflags(write=False)
+
+    def _init_poles(self, con_grid, obs_grid, poles, pole_tol=DEFAULT_POLE_TOL):
+        """The fields every pole-factor model sets up: the two grids, the
+        read-only poles and the pole-proximity tolerance."""
+        self.con_grid = con_grid
+        self.obs_grid = obs_grid
+        self.poles = np.asarray(poles, dtype=np.complex128).reshape(-1)
+        self.poles.setflags(write=False)
+        self.pole_tol = float(pole_tol)
+
+    # weight-folded pairing rows, read-only: <f, u_k> = _in_pair[k] @ f.values
+    @functools.cached_property
+    def _in_pair(self):
+        rows = np.conj(self.input_factors) * self.con_grid.weights
+        rows.setflags(write=False)
+        return rows
+
+    @functools.cached_property
+    def _out_pair(self):
+        rows = np.conj(self.output_factors) * self.obs_grid.weights
+        rows.setflags(write=False)
+        return rows
 
     def mode_label(self, k):
         """Human-readable label of pole k for diagnostics, or None."""

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opmor import irka
 from opmor.errors import GridMismatchError, PoleProximityError
 from opmor.funcspace import (
     FunctionVector,
@@ -13,8 +14,9 @@ from opmor.funcspace import (
     restrict_mode,
 )
 from opmor.heat2d import FullModel, default_quad_order, eigenvalue
-from opmor.h2 import _grams
+from opmor.h2 import _grams, h2_error, h2_norm, optimality_residuals
 from opmor.models import PoleFactorModel, phi1, phi2
+from opmor.projection import build_bases, project_explicit
 
 CON = Patch(0.1, 0.3, 0.1, 0.3)
 OBS = Patch(0.6, 0.8, 0.6, 0.8)
@@ -413,3 +415,49 @@ class TestSeparablePath:
                                     model.con_grid, model.obs_grid)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < SEPARABLE_RTOL * np.max(np.abs(want))
+
+
+DENSE_TABLES = ("input_factors", "output_factors", "_in_pair", "_out_pair")
+
+
+class TestDenseTablesOnDemand:
+    """The K x nodes mode tables (236 MB at n_max 30) are built only when read."""
+
+    def test_workflow_builds_no_dense_table(self):
+        model = make_model(30)
+        assert h2_norm(model) > 0
+        rom, report = irka.run(model, irka.IrkaConfig(r=2, max_iter=3))
+        assert report.iterations == 3
+        assert h2_error(model, rom) >= 0
+        assert optimality_residuals(model, rom).max_residual >= 0
+        u = [constant(model.con_grid)] * 3
+        assert len(model.simulate(u, T=0.02, dt=0.01)) == 3
+        V, W = build_bases(model, [1.0, 3.0], ["mode:1,1", "mode:2,1"],
+                           [2.0, 4.0], ["mode:1,2", "mode:2,2"])
+        project_explicit(model, V, W)
+        assert not set(DENSE_TABLES) & set(vars(model))
+
+    def test_tables_are_built_once_read_only(self):
+        model = make_model(4)
+        for name in DENSE_TABLES:
+            table = getattr(model, name)
+            assert getattr(model, name) is table
+            assert not table.flags.writeable
+        assert model.input_factors.shape == (16, model.con_grid.size)
+        assert model.output_factors.shape == (16, model.obs_grid.size)
+
+    @pytest.mark.parametrize("n_max", [12, 30])
+    def test_default_init_matches_table_rows_bitwise(self, n_max):
+        # unit coefficient rows, expanded, are the table rows bit for bit; the
+        # tables are built only after every init has run
+        order = default_quad_order(n_max)
+        model = FullModel(QuadratureGrid(CON, order),
+                          QuadratureGrid(Patch(0.45, 0.9, 0.6, 0.75), order + 3), n_max)
+        inits = {r: irka._default_init(model, r) for r in (1, 2, 6)}
+        assert not set(DENSE_TABLES) & set(vars(model))
+        for r, (_, rights, lefts) in inits.items():
+            want_rights = irka._fix_phase(model.input_factors[:r], model.con_grid)
+            want_lefts = irka._fix_phase(model.output_factors[:r], model.obs_grid)
+            assert rights.dtype == lefts.dtype == np.complex128
+            assert rights.tobytes() == want_rights.tobytes()
+            assert lefts.tobytes() == want_lefts.tobytes()
