@@ -2,18 +2,14 @@
 tangential optimality residuals.
 
 Every routine works on a pole-factor sum G(s) = sum_k <., u_k> y_k /
-(s - lam_k); a reduced model enters through its pole-residue form. The
-squared Hilbert-Schmidt norm at s and the squared H2 norm contract the
-factor Grams,
-
-    hs(s)^2   = sum_{k,l} <u_l,u_k> <y_k,y_l> / ((s - lam_k) conj(s - lam_l)),
-    ||G||^2   = sum_{k,l} <u_l,u_k> <y_k,y_l> / (-(lam_k + conj lam_l)),
-
-the latter by closing the frequency integral of each (k,l) term in the left
-half-plane. The H2 inner product with <., p> q / (s - lam) is one transfer
-evaluation at the mirror point -conj(lam), which gives the H2 error and the
-optimality conditions. The frequency quadrature is the independent
-cross-check; h2_error_quadrature solves with the reduced pencil instead.
+(s - lam_k); a reduced model enters through its pole-residue form. Each
+model computes its own squared norms: hs_sq(s), the Hilbert-Schmidt norm at
+s, and h2_sq, the closed double series over pole pairs, which a pole-factor
+model contracts with its factor Grams and the heat model with its 1-D Grams.
+The H2 inner product with <., p> q / (s - lam) is one transfer evaluation
+at the mirror point -conj(lam), which gives the H2 error and the optimality
+conditions. The frequency quadrature is the independent cross-check;
+h2_error_quadrature solves with the reduced pencil instead.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ import numpy as np
 
 from .errors import ReductionError, StabilityError
 from .funcspace import FunctionVector, inner_product
-from .models import PoleFactorModel
+from .models import PoleFactorModel, _grams
 from .rom import ReducedModel, pole_residue
 from .samples import TangentialDataset, collect
 
@@ -87,47 +83,15 @@ def _stable_factor_form(system) -> PoleFactorModel:
     return model
 
 
-def _grams(U, Y, u_grid, y_grid):
-    """(GU, GY) with GU[k,l] = <u_l, u_k>_U and GY[k,l] = <y_k, y_l>_Y for
-    the rows u_k of U on u_grid and y_k of Y on y_grid."""
-    return (np.conj(U) * u_grid.weights) @ U.T, (Y * y_grid.weights) @ np.conj(Y).T
-
-
-def _port_grams(model):
-    """GU * GY, the elementwise product of the model's port_grams, or else
-    of the _grams of its input and output factors; the only Gram term the
-    H2 and Hilbert-Schmidt sums read, cached on the model (its factors are
-    immutable)."""
-    cached = getattr(model, "_h2_grams", None)
-    if cached is None:
-        GU, GY = model.port_grams() or _grams(model.input_factors, model.output_factors,
-                                              model.con_grid, model.obs_grid)
-        cached = model._h2_grams = GU * GY
-    return cached
-
-
-def _hs_sq_factor(model, s):
-    alpha = 1.0 / (s - model.poles)
-    return float(np.real(alpha @ (_port_grams(model) @ np.conj(alpha))))
-
-
 def hs_norm(system, s) -> float:
     """Hilbert-Schmidt norm of the transfer operator at a point s off the
     poles."""
     model = _factor_form(system)
-    return np.sqrt(_hs_sq_factor(model, model._check_point(s)))
-
-
-def _h2_sq_closed(model) -> float:
-    """||G||^2 by the closed double series, cached on the model like _port_grams."""
-    if getattr(model, "_h2_sq", None) is None:
-        gram, lam = _port_grams(model), model.poles
-        model._h2_sq = float(np.real(np.sum(gram / -(lam[:, None] + np.conj(lam[None, :])))))
-    return model._h2_sq
+    return np.sqrt(model.hs_sq(model._check_point(s)))
 
 
 def _h2_sq_quadrature(model, quad: FrequencyQuadrature) -> float:
-    vals = [_hs_sq_factor(model, 1j * w) for w in quad.omegas]
+    vals = [model.hs_sq(1j * w) for w in quad.omegas]
     return float(quad.integrate(vals)) / (2.0 * np.pi)
 
 
@@ -149,7 +113,7 @@ def _converged_quadrature(fn):
 
 def h2_norm(system) -> float:
     """H2 norm via the closed double series over pole pairs."""
-    return np.sqrt(_h2_sq_closed(_stable_factor_form(system)))
+    return np.sqrt(_stable_factor_form(system).h2_sq)
 
 
 @dataclass
@@ -174,7 +138,7 @@ def h2_norm_report(system, quad: FrequencyQuadrature | None = None) -> H2NormRep
     else:
         qsq = _h2_sq_quadrature(model, quad)
     return H2NormReport(
-        closed=np.sqrt(_h2_sq_closed(model)),
+        closed=np.sqrt(model.h2_sq),
         quadrature=np.sqrt(qsq),
     )
 
@@ -204,8 +168,7 @@ def h2_error(full, rom: ReducedModel) -> float:
     """
     full = _stable_factor_form(full)
     pr = _stable_factor_form(rom)
-    gsq = _h2_sq_closed(full)
-    grsq = _h2_sq_closed(pr)
+    gsq, grsq = full.h2_sq, pr.h2_sq
     cross = sum(h2_inner_rank1(full, lam, FunctionVector(pr.con_grid, b),
                                FunctionVector(pr.obs_grid, c))
                 for lam, b, c in zip(pr.poles, pr.input_factors, pr.output_factors))
@@ -249,7 +212,7 @@ def h2_error_quadrature(full, rom: ReducedModel) -> float:
             alpha = 1.0 / (s - lam)
             cross = np.conj(alpha) @ np.sum((GYc @ K) * GUb, axis=1)
             hs_sq_rom = np.real(np.sum((K @ GB @ K.conj().T) * GC))
-            hs_sq = _hs_sq_factor(full, s) + hs_sq_rom
+            hs_sq = full.hs_sq(s) + hs_sq_rom
             total += wt * (hs_sq - 2.0 * cross.real)
             scale += wt * hs_sq
         return total / (2.0 * np.pi), scale / (2.0 * np.pi)

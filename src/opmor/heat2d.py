@@ -13,9 +13,16 @@ that order is fixed for reproducibility. On a tensor grid each mode value
 is a product of 1-D sine tables, phi_nm(x_i, y_j) = Sx[n, i] Sy[m, j], so
 the pairing of node values F (an x-by-y array) with every mode is
 (Sx wx) F (Sy wy)^T and the expansion of an n-by-m coefficient array X is
-Sx^T X Sy: two small products per port instead of a K x nodes table, and
-the port Grams are Kronecker products of 1-D Grams. The model keeps only
-the poles, the modes and those 1-D tables. The dense K x nodes mode-value
+Sx^T X Sy: two small products per port instead of a K x nodes table. The
+mode Grams are Kronecker products too: GU * GY = kron(Hx, Hy), where Hx =
+(Sx_con wx) Sx_con^T * (Sx_obs wx) Sx_obs^T and Hy is the same on the y
+axis. With A[n, m] = 1/(s - lam_nm) the norms need N x N arrays only,
+
+    hs(s)^2 = sum Hx * (A Hy A^H)                              in O(N^3),
+    ||G||^2 = sum Hx[n,n'] Hy[m,m'] / -(lam_nm + lam_n'm')     in O(N^4),
+
+the latter one n at a time in O(N^3) memory. The model keeps only the
+poles, the modes, the 1-D tables and Hx, Hy. The dense K x nodes mode-value
 tables (236 MB at n_max 30) are built on demand, bit for bit as
 restrict_mode gives them, when something reads them: the benchmark's size
 annotation and the tests, which use them as the oracle of the separable
@@ -99,6 +106,9 @@ class FullModel(PoleFactorModel):
             sines.append(((sx * g.axis_weights[0], sy * g.axis_weights[1]), (sx.T, sy.T)))
         # per port, the (left, right) factors of _separable for pairing and for expansion
         (self._con_pairing, self._con_expansion), (self._obs_pairing, self._obs_expansion) = sines
+        # per axis, the product of the two ports' 1-D Grams, real symmetric N x N
+        self._hx, self._hy = ((self._con_pairing[a] @ self._con_expansion[a])
+                              * (self._obs_pairing[a] @ self._obs_expansion[a]) for a in (0, 1))
         self.n_max = n_max
         self.modes = modes
         self.modes.setflags(write=False)
@@ -124,12 +134,17 @@ class FullModel(PoleFactorModel):
     def expand_obs(self, coef):
         return _separable(coef, *self._obs_expansion)
 
-    def port_grams(self):
-        """kron(Gx, Gy) of the n_max x n_max Grams of the 1-D sine tables,
-        per port; the modes are real, so GU and GY are real symmetric."""
-        return tuple(np.kron(wsx @ sxt, wsy @ syt) for (wsx, wsy), (sxt, syt)
-                     in ((self._con_pairing, self._con_expansion),
-                         (self._obs_pairing, self._obs_expansion)))
+    def hs_sq(self, s):
+        a = (1.0 / (s - self.poles)).reshape(self.n_max, self.n_max)
+        return float(np.sum(self._hx * np.real(a @ self._hy @ a.conj().T)))
+
+    @functools.cached_property
+    def h2_sq(self):
+        n = self.n_max
+        lam = self.poles.real.reshape(n, n)
+        # row i of the series: Hx[i] @ (1/-(lam_im + lam_n'm') as an (n', m m') array) @ Hy
+        return float(sum(self._hx[i] @ (-1.0 / (lam[i][:, None] + lam[:, None, :])).reshape(n, -1)
+                         @ self._hy.ravel() for i in range(n)))
 
     def mode_label(self, k):
         return (int(self.modes[k, 0]), int(self.modes[k, 1]))

@@ -10,8 +10,9 @@ retained eigenmode. Adjoint and derivative evaluations and exact time
 stepping all follow from this form, so they are implemented once here, on
 two maps per port: the pairing map from node values to the coefficients
 <f, u_k> (or <g, y_k>) and the expansion map from coefficients to the node
-values of sum_k c_k u_k (or y_k). The default maps are dense products with
-the factor tables; a model with structure overrides only the maps.
+values of sum_k c_k u_k (or y_k). The squared Hilbert-Schmidt and H2 norms
+contract the factor Grams. The defaults are dense products with the factor
+tables; a model with structure overrides the four maps and the two norms.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ def phi2(z):
     t = z[small]
     out[small] = 0.5 + t / 6 + t**2 / 24 + t**3 / 120 + t**4 / 720
     return out
+
+
+def _grams(U, Y, u_grid, y_grid):
+    """(GU, GY) with GU[k,l] = <u_l, u_k>_U and GY[k,l] = <y_k, y_l>_Y for
+    the rows u_k of U on u_grid and y_k of Y on y_grid."""
+    return (np.conj(U) * u_grid.weights) @ U.T, (Y * y_grid.weights) @ np.conj(Y).T
 
 
 class PoleFactorModel:
@@ -126,11 +133,25 @@ class PoleFactorModel:
         """Node values on obs_grid of sum_k coef_k y_k."""
         return (self.output_factors.T @ coef.T).T
 
-    def port_grams(self):
-        """(GU, GY) with GU[k,l] = <u_l, u_k>_U and GY[k,l] = <y_k, y_l>_Y
-        where the model's structure gives them directly, else None (h2 then
-        contracts the factor tables)."""
-        return None
+    # GU * GY, the one Gram term the norm sums read, built on first use
+    @functools.cached_property
+    def _gram(self):
+        GU, GY = _grams(self.input_factors, self.output_factors, self.con_grid, self.obs_grid)
+        return GU * GY
+
+    def hs_sq(self, s):
+        """Squared Hilbert-Schmidt norm of G(s) at a point s off the poles,
+        sum_{k,l} GU[k,l] GY[k,l] / ((s - lam_k) conj(s - lam_l))."""
+        alpha = 1.0 / (s - self.poles)
+        return float(np.real(alpha @ (self._gram @ np.conj(alpha))))
+
+    @functools.cached_property
+    def h2_sq(self):
+        """Squared H2 norm, sum_{k,l} GU[k,l] GY[k,l] / -(lam_k + conj lam_l):
+        the frequency integral of each (k,l) term closed in the left
+        half-plane, so the poles must be stable."""
+        lam = self.poles
+        return float(np.real(np.sum(self._gram / -(lam[:, None] + np.conj(lam[None, :])))))
 
     def apply_tf(self, s, p: FunctionVector) -> FunctionVector:
         """G(s)[p] over the observation grid."""

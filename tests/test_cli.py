@@ -411,6 +411,33 @@ class TestH2Command:
         assert len(omegas) == 256
 
 
+# runs argv[1:] as a child and prints its exit code and peak RSS in KiB; the
+# extra process keeps the children of the test session out of the figure
+PEAK_RSS = ("import resource, subprocess, sys; "
+            "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+
+@pytest.mark.parametrize("command", [["h2"], ["irka", "--order", "2", "--init", "1,10"]],
+                         ids=["h2", "irka"])
+def test_n_modes_100_runs_in_300_mb(tmp_path, command):
+    # K = 10,000 modes: one K x K array would be 800 MB, the model's tables
+    # and the IRKA sweep need a few tens
+    # without quad_order the model takes the default order, which resolves 100 modes
+    model = {k: v for k, v in MODEL_BLOCK.items() if k != "quad_order"}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model": dict(model, n_modes=100)}))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "opmor.cli", *command,
+         "--config", str(cfg), "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert peak_kib < 300 * 1024
+
+
 class TestIrkaCommand:
     def test_converged_run_writes_everything(self, tmp_path, config):
         out = tmp_path / "irka.json"

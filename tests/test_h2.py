@@ -296,14 +296,16 @@ class TestH2Error:
         assert sizes == [h2.DEFAULT_NODES, 2 * h2.DEFAULT_NODES]
 
     def test_full_model_norm_is_computed_once(self, heat_rom, monkeypatch):
-        # the closed sum over the full model's Grams is cached like the Grams
+        # the full model's closed series is a cached property: IRKA calls
+        # h2_error once per sweep, and the series runs on the first call only
         full = FullModel(heat_rom.u_grid, heat_rom.y_grid, 8)
         seen = []
-        grams = h2._port_grams
-        monkeypatch.setattr(h2, "_port_grams", lambda model: seen.append(model) or grams(model))
+        series = FullModel.h2_sq.func
+        monkeypatch.setattr(FullModel.h2_sq, "func",
+                            lambda model: seen.append(model) or series(model))
         first, second = h2_error(full, heat_rom), h2_error(full, heat_rom)
         assert second == first
-        assert sum(model is full for model in seen) == 1
+        assert len(seen) == 1 and seen[0] is full
 
     def test_triangle_sanity(self, heat, heat_rom):
         bound = (h2_norm(heat) + h2_norm(heat_rom)) ** 2
