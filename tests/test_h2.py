@@ -1,11 +1,15 @@
 import dataclasses
+import importlib.util
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opmor import h2
+from opmor import h2, irka
+from opmor.config import build_model
 from opmor.errors import PoleProximityError, ReductionError, StabilityError
 from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
 from opmor.h2 import (
@@ -25,6 +29,8 @@ from opmor.rom import pole_residue
 from opmor.samples import collect
 
 from oracles import RankOneModel
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def unit_const(grid):
@@ -99,9 +105,8 @@ class TestFrequencyQuadrature:
 
     def test_rule_is_built_once_per_node_count(self, monkeypatch):
         calls = []
-        leggauss = np.polynomial.legendre.leggauss
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                            lambda n: calls.append(n) or leggauss(n))
+        build = h2._gauss_legendre
+        monkeypatch.setattr(h2, "_gauss_legendre", lambda n: calls.append(n) or build(n))
         h2._frequency_rule.cache_clear()
         first, second = FrequencyQuadrature(128), FrequencyQuadrature(128)
         assert calls == [128]
@@ -118,6 +123,69 @@ class TestFrequencyQuadrature:
             f = 1.0 / ((1.0 + quad.omegas ** 2) * (4.0 + quad.omegas ** 2))
             vals.append(quad.integrate(f))
         assert abs(vals[1] - vals[0]) < 1e-8 * abs(vals[1])
+
+
+def reference_node_and_weight(mpmath, n, x0):
+    """Newton on the Legendre recurrence at the working precision, from a
+    double node; the weight is 2 / ((1 - x^2) P_n'(x)^2)."""
+    x = mpmath.mpf(x0)
+    for _ in range(4):
+        p_prev, p = mpmath.mpf(1), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / (x * x - 1)
+        x -= p / dp
+    return x, 2 / ((1 - x * x) * dp ** 2)
+
+
+class TestGaussLegendre:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [64, 101])
+    def test_integrates_legendre_products_exactly(self, n):
+        # P_i P_j has degree at most 2n - 2 < 2n, which the rule integrates
+        # exactly; each entry sums n terms, each off by a few round-offs
+        x, w = h2._gauss_legendre(n)
+        assert abs(w.sum() - 2.0) <= n * self.EPS
+        V = np.polynomial.legendre.legvander(x, n - 1)
+        np.testing.assert_allclose((V * w[:, None]).T @ V,
+                                   np.diag(2.0 / (2 * np.arange(n) + 1)), rtol=0, atol=n * self.EPS)
+
+    @pytest.mark.parametrize("n", [64, 65, 101])
+    def test_symmetric_bit_for_bit(self, n):
+        x, w = h2._gauss_legendre(n)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        if n % 2:
+            assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+
+    def test_weights_match_high_precision_reference(self):
+        # The computed theta_1 = arccos x_1 is a root of P_n at the rounded
+        # cos(theta_1), so it may sit eps / sin(theta_1) off; the weight,
+        # sin(theta)^2 / (n P_{n-1}(x))^2 at a root, moves by twice that
+        # relative to theta_1, and theta_1 is about 2.405 / n. That bound,
+        # 3.2e-10 at n = 2,048, is the tolerance for every weight checked
+        # (numpy's eigenvalue-based leggauss is off by 6.3e-8 at the endpoint).
+        mpmath = pytest.importorskip("mpmath")
+        n = 2048
+        theta1 = 2.405 / n
+        rtol = 2 * self.EPS / (theta1 * np.sin(theta1))
+        x, w = h2._gauss_legendre(n)
+        with mpmath.workdps(40):
+            for i in (n - 1, n - 2, n // 2):
+                want_x, want_w = reference_node_and_weight(mpmath, n, x[i])
+                assert abs(x[i] - float(want_x)) <= self.EPS
+                assert w[i] == pytest.approx(float(want_w), rel=rtol, abs=0)
+
+    def test_build_memory_is_linear(self):
+        # a dense 1,024 x 1,024 matrix of doubles alone is 8 MiB
+        tracemalloc.start()
+        try:
+            h2._gauss_legendre(1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestHsNorm:
@@ -266,6 +334,29 @@ class TestH2Error:
         err = h2_error(heat, heat_rom)
         oracle = h2_error_quadrature(heat, heat_rom)
         assert err == pytest.approx(oracle, rel=1e-5)
+
+    def test_matches_direct_quadrature_at_thirty_modes(self):
+        # criterion 6 where the benchmark skips the cross-check (K = 900):
+        # the r=2 IRKA model from its seed-1, draw-0 starting points. Node
+        # doubling builds rules up to 4,096 nodes inside the traced call,
+        # where one dense 4,096 x 4,096 eigenproblem alone is 128 MiB.
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        model = build_model(workloads.irka_model(30))
+        points = workloads.init_points(1, 0, 2)
+        rom, report = irka.run(model, irka.IrkaConfig(r=2, init_points=points))
+        assert report.converged
+        err = h2_error(model, rom)
+        h2._frequency_rule.cache_clear()
+        tracemalloc.start()
+        try:
+            oracle = h2_error_quadrature(model, rom)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err == pytest.approx(oracle, rel=1e-5)
+        assert peak < 16 * 2 ** 20
 
     def test_quadrature_oracle_skips_pole_residue(self, toy, heat, heat_rom, grids,
                                                   monkeypatch):
