@@ -23,7 +23,6 @@ from . import rom as rom_mod
 from . import samples
 from .config import build_model, load_run_config, parse_point
 from .errors import DatasetError, ParseError, ReductionError
-from .funcspace import FunctionVector
 from .h2 import (
     FrequencyQuadrature,
     h2_error,
@@ -289,16 +288,14 @@ def _read_signal_csv(path, grid):
     dt = t[1] - t[0]
     if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
         raise ParseError(f"{path}: time column must be uniformly spaced")
-    u = [FunctionVector(grid, row) for row in data[:, 1:]]
-    return t, float(dt), u
+    return t, float(dt), data[:, 1:]
 
 
 def _node_names(grid):
     return [f"x{x:.6f}y{y:.6f}" for x, y in grid.nodes]
 
 
-def _write_output_csv(path, t, outputs, grid):
-    vals = np.array([y.values for y in outputs])
+def _write_output_csv(path, t, vals, grid):
     scale = np.max(np.abs(vals)) or 1.0
     worst = np.max(np.abs(vals.imag))
     if worst > IMAG_RESIDUE_RTOL * scale:

@@ -5,10 +5,6 @@ class ReductionError(Exception):
     """Base class for errors raised by this package."""
 
 
-class GridMismatchError(ReductionError):
-    """Two function vectors (or a vector and a model) live on different grids."""
-
-
 class PoleProximityError(ReductionError):
     """An evaluation point is too close to a system pole.
 

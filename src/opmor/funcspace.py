@@ -7,9 +7,11 @@ node sum
 
     <f, g> = sum_k w_k f(z_k) conj(g(z_k)),
 
-linear in the first argument and conjugate-linear in the second. Two
-function vectors can be combined only when they live on the identical grid
-(same patch, same order); anything else raises ``GridMismatchError``.
+linear in the first argument and conjugate-linear in the second. A function
+is its row of node values; stacked functions are stacked rows. A row is
+read on the grid it is handed with, so a row of the wrong length raises
+ValueError from numpy, and grids are compared where a file or a config
+hands over a function.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import GridMismatchError
 
 
 @dataclass(frozen=True)
@@ -94,78 +94,25 @@ class QuadratureGrid:
         return f"QuadratureGrid({self.patch!r}, order={self.order})"
 
 
-def values_on(f, grid: QuadratureGrid):
-    """Node values of the function vector f, which must live on grid; the
-    one port check of full and reduced models."""
-    if f.grid != grid:
-        raise GridMismatchError(f"function lives on {f.grid!r}, expected {grid!r}")
-    return f.values
-
-
-class FunctionVector:
-    """Complex node values of a function over one quadrature grid.
-
-    Supports addition, subtraction and scalar multiplication within a single
-    grid. Values are always stored as a flat complex128 array in the grid's
-    node order.
-    """
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: QuadratureGrid, values):
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != (grid.size,):
-            raise ValueError(
-                f"expected {grid.size} node values for this grid, got shape {values.shape}"
-            )
-        self.grid = grid
-        self.values = values
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.grid.weights * np.abs(self.values) ** 2)))
-
-    def __add__(self, other):
-        if not isinstance(other, FunctionVector):
-            return NotImplemented
-        return FunctionVector(self.grid, self.values + values_on(other, self.grid))
-
-    def __sub__(self, other):
-        if not isinstance(other, FunctionVector):
-            return NotImplemented
-        return FunctionVector(self.grid, self.values - values_on(other, self.grid))
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return FunctionVector(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"FunctionVector(grid={self.grid!r}, norm={self.norm():.3e})"
-
-
-def inner_product(f: FunctionVector, g: FunctionVector) -> complex:
-    """Weighted node inner product, conjugate-linear in the second slot.
+def inner_product(f, g, grid: QuadratureGrid) -> complex:
+    """Weighted node inner product of the rows f and g on grid,
+    conjugate-linear in the second slot.
 
     The accumulation order is the grid's fixed node order, so results are
     reproducible bit for bit across runs.
     """
-    return complex(np.sum(f.grid.weights * f.values * np.conj(values_on(g, f.grid))))
+    return complex(np.sum(grid.weights * f * np.conj(g)))
 
 
 def row_norms(rows, grid: QuadratureGrid):
     """L2 norms of the functions whose node values on grid are the last axis
-    of rows."""
-    return np.sqrt(np.abs(rows) ** 2 @ grid.weights)
+    of rows; a stacked row's norm equals its norm alone bit for bit."""
+    return np.sqrt(np.sum(grid.weights * np.abs(rows) ** 2, axis=-1))
 
 
-def constant(grid: QuadratureGrid) -> FunctionVector:
-    return FunctionVector(grid, np.ones(grid.size, dtype=np.complex128))
-
-
-def restrict_mode(n: int, m: int, grid: QuadratureGrid) -> FunctionVector:
-    """Laplacian eigenfunction 2 sin(n pi x) sin(m pi y) sampled on a grid.
+def restrict_mode(n: int, m: int, grid: QuadratureGrid):
+    """Node values on grid of the Laplacian eigenfunction
+    2 sin(n pi x) sin(m pi y).
 
     The modes are orthonormal over the full unit square; restricted to a
     proper patch they are neither normalized nor orthogonal.
@@ -174,5 +121,5 @@ def restrict_mode(n: int, m: int, grid: QuadratureGrid) -> FunctionVector:
         raise ValueError(f"mode indices must be >= 1, got ({n}, {m})")
     x = grid.nodes[:, 0]
     y = grid.nodes[:, 1]
-    return FunctionVector(grid, 2.0 * np.sin(n * np.pi * x) * np.sin(m * np.pi * y))
+    return 2.0 * np.sin(n * np.pi * x) * np.sin(m * np.pi * y)
 

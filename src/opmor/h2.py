@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReductionError, StabilityError
-from .funcspace import FunctionVector, inner_product
+from .funcspace import inner_product, row_norms
 from .models import PoleFactorModel, _grams
 from .rom import ReducedModel, pole_residue
 from .samples import TangentialDataset, collect
@@ -170,9 +170,10 @@ def h2_norm_report(system, quad: FrequencyQuadrature | None = None) -> H2NormRep
     )
 
 
-def h2_inner_rank1(system, lam, p: FunctionVector, q: FunctionVector):
+def h2_inner_rank1(system, lam, p, q):
     """H2 inner product of the rank-1 function <., p> q / (s - lam) against
-    the system's transfer function, evaluated as <q, G(-conj lam)[p]>_Y.
+    the system's transfer function, evaluated as <q, G(-conj lam)[p]>_Y for
+    the rows p on the control grid and q on the observation grid.
 
     One transfer evaluation replaces the frequency integral; lam must lie in
     the open left half-plane for the integral to exist.
@@ -180,8 +181,8 @@ def h2_inner_rank1(system, lam, p: FunctionVector, q: FunctionVector):
     lam = complex(lam)
     if lam.real >= 0:
         raise ValueError(f"pole must satisfy Re < 0, got {lam}")
-    value = _stable_factor_form(system).apply_tf(-np.conj(lam), p)
-    return complex(inner_product(q, value))
+    model = _stable_factor_form(system)
+    return inner_product(q, model.apply_tf(-np.conj(lam), p), model.obs_grid)
 
 
 def h2_error(full, rom: ReducedModel) -> float:
@@ -196,8 +197,7 @@ def h2_error(full, rom: ReducedModel) -> float:
     full = _stable_factor_form(full)
     pr = _stable_factor_form(rom)
     gsq, grsq = full.h2_sq, pr.h2_sq
-    cross = sum(h2_inner_rank1(full, lam, FunctionVector(pr.con_grid, b),
-                               FunctionVector(pr.obs_grid, c))
+    cross = sum(h2_inner_rank1(full, lam, b, c)
                 for lam, b, c in zip(pr.poles, pr.input_factors, pr.output_factors))
     err = gsq - 2.0 * cross.real + grsq
     if err < 0:
@@ -265,8 +265,8 @@ class OptimalityReport:
         return float(max(self.eps_left.max(), self.eps_right.max(), self.eps_herm.max()))
 
 
-def _rel_gap(got: FunctionVector, want: FunctionVector) -> float:
-    return (got - want).norm() / want.norm()
+def _rel_gap(got, want, grid) -> float:
+    return row_norms(got - want, grid) / row_norms(want, grid)
 
 
 def interpolation_residuals(rom: ReducedModel, dataset: TangentialDataset):
@@ -275,14 +275,14 @@ def interpolation_residuals(rom: ReducedModel, dataset: TangentialDataset):
     evaluated. Returns three arrays: the transfer values at (sigma_j, p_j),
     the adjoint values at (rho_i, q_i) and the Hermite scalars, in sorted
     (i, j) key order."""
-    ps = [FunctionVector(dataset.u_grid, p) for p in dataset.P]
-    qs = [FunctionVector(dataset.y_grid, q) for q in dataset.Q]
-    right = np.array([_rel_gap(rom.eval_tf(s, p), FunctionVector(dataset.y_grid, v))
-                      for s, p, v in zip(dataset.sigmas, ps, dataset.right_values)])
-    left = np.array([_rel_gap(rom.eval_tf_adjoint(t, q), FunctionVector(dataset.u_grid, v))
-                     for t, q, v in zip(dataset.rhos, qs, dataset.left_values)])
-    herm = np.array([abs(inner_product(rom.eval_tf_derivative(dataset.sigmas[j], ps[j]), qs[i])
-                         - dataset.hermites[i, j]) / abs(dataset.hermites[i, j])
+    P, Q, u_grid, y_grid = dataset.P, dataset.Q, dataset.u_grid, dataset.y_grid
+    right = np.array([_rel_gap(rom.eval_tf(s, p), v, y_grid)
+                      for s, p, v in zip(dataset.sigmas, P, dataset.right_values)])
+    left = np.array([_rel_gap(rom.eval_tf_adjoint(t, q), v, u_grid)
+                     for t, q, v in zip(dataset.rhos, Q, dataset.left_values)])
+    herm = np.array([abs(inner_product(rom.eval_tf_derivative(dataset.sigmas[j], P[j]), Q[i],
+                                       y_grid) - dataset.hermites[i, j])
+                     / abs(dataset.hermites[i, j])
                      for i, j in sorted(dataset.hermites)])
     return right, left, herm
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ReductionError
+from .funcspace import row_norms
 from .h2 import h2_error, optimality_residuals
 from .loewner import assemble
 from .rom import ReducedModel, pole_residue
@@ -72,7 +73,7 @@ def _fix_phase(rows, grid) -> np.ndarray:
     """Node-value rows on ``grid``, each scaled to unit function-space norm
     with its largest-magnitude entry rotated to the positive real axis; kills
     the eigenvector phase ambiguity for determinism."""
-    v = rows / np.sqrt(np.sum(grid.weights * np.abs(rows) ** 2, axis=1))[:, None]
+    v = rows / row_norms(rows, grid)[:, None]
     pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=1)[:, None], axis=1)
     return v * (np.conj(pivot) / np.abs(pivot))
 

@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from .errors import PoleProximityError
-from .funcspace import FunctionVector, QuadratureGrid, values_on
+from .funcspace import QuadratureGrid
 
 DEFAULT_POLE_TOL = 1e-8
 
@@ -153,35 +153,34 @@ class PoleFactorModel:
         lam = self.poles
         return float(np.real(np.sum(self._gram / -(lam[:, None] + np.conj(lam[None, :])))))
 
-    def apply_tf(self, s, p: FunctionVector) -> FunctionVector:
-        """G(s)[p] over the observation grid."""
+    def apply_tf(self, s, p):
+        """G(s)[p] for a row p on the control grid, as a row on the
+        observation grid."""
         s = self._check_point(s)
-        coef = self.pair_con(values_on(p, self.con_grid))
-        return FunctionVector(self.obs_grid, self.expand_obs(coef / (s - self.poles)))
+        return self.expand_obs(self.pair_con(p) / (s - self.poles))
 
-    def apply_tf_adjoint(self, s, q: FunctionVector) -> FunctionVector:
-        """Hilbert adjoint G(s)^+[q] over the control grid.
+    def apply_tf_adjoint(self, s, q):
+        """Hilbert adjoint G(s)^+[q] for a row q on the observation grid, as a
+        row on the control grid.
 
         Satisfies <apply_tf(s, p), q>_Y = <p, apply_tf_adjoint(s, q)>_U.
         """
         s = self._check_point(s)
-        coef = self.pair_obs(values_on(q, self.obs_grid))
-        return FunctionVector(self.con_grid,
-                              self.expand_con(np.conj(1.0 / (s - self.poles)) * coef))
+        return self.expand_con(np.conj(1.0 / (s - self.poles)) * self.pair_obs(q))
 
-    def apply_tf_derivative(self, s, p: FunctionVector) -> FunctionVector:
-        """d/ds G(s)[p] = -C (s - A)^{-2} B [p] over the observation grid."""
+    def apply_tf_derivative(self, s, p):
+        """d/ds G(s)[p] = -C (s - A)^{-2} B [p] as a row on the observation grid."""
         s = self._check_point(s)
-        coef = self.pair_con(values_on(p, self.con_grid))
-        return FunctionVector(self.obs_grid, -self.expand_obs(coef / (s - self.poles) ** 2))
+        return -self.expand_obs(self.pair_con(p) / (s - self.poles) ** 2)
 
     def simulate(self, u, T, dt):
         """March the diagonal state exactly against piecewise-linear input.
 
-        ``u`` is a sequence of FunctionVectors over the control grid sampled
-        at t_k = k*dt; the linear interpolant between consecutive samples is
-        convolved in closed form with e^{lam t} per pole. Returns the output
-        series at the same time points, starting from the zero state.
+        Row k of ``u`` holds the input's node values on the control grid at
+        t_k = k*dt; the linear interpolant between consecutive samples is
+        convolved in closed form with e^{lam t} per pole. Returns the
+        output's node values on the observation grid at the same time
+        points, (T/dt + 1) x obs nodes, starting from the zero state.
         """
         if dt <= 0:
             raise ValueError(f"time step must be positive, got {dt}")
@@ -194,17 +193,15 @@ class PoleFactorModel:
             raise ValueError(
                 f"need {n_steps + 1} input samples for T={T}, dt={dt}, got {len(u)}"
             )
-        ucoef = np.empty((n_steps + 1, self.poles.size), dtype=np.complex128)
-        for k in range(n_steps + 1):
-            ucoef[k] = self.pair_con(values_on(u[k], self.con_grid))
+        u = np.asarray(u, dtype=np.complex128)
+        ucoef = np.array([self.pair_con(row) for row in u[: n_steps + 1]])
         z = self.poles * dt
         ez = np.exp(z)
         c1 = dt * phi1(z)
         c2 = dt * phi2(z)
         x = np.zeros(self.poles.size, dtype=np.complex128)
-        out = [FunctionVector(self.obs_grid, np.zeros(self.obs_grid.size, dtype=np.complex128))]
+        out = np.zeros((n_steps + 1, self.obs_grid.size), dtype=np.complex128)
         for k in range(n_steps):
             x = ez * x + c1 * ucoef[k] + c2 * (ucoef[k + 1] - ucoef[k])
-            out.append(FunctionVector(self.obs_grid, self.expand_obs(x)))
+            out[k + 1] = self.expand_obs(x)
         return out
-

@@ -28,7 +28,6 @@ from .errors import (
     SemiSimplicityError,
     SingularSolveError,
 )
-from .funcspace import FunctionVector, values_on
 from .jsonio import (complex_to_pair, dump_json, family_from_json, family_to_json, integer,
                      load_json, pair_to_complex)
 from .models import PoleFactorModel
@@ -120,22 +119,20 @@ class ReducedModel:
             )
         return U, sv, Vh
 
-    def eval_tf(self, s, p: FunctionVector) -> FunctionVector:
-        """G_r(s)[p] = C_r (sE - A)^{-1} B_r[p]."""
-        x = _solve(self._pencil(s), self._b_pair @ values_on(p, self.u_grid))
-        return FunctionVector(self.y_grid, self.C.T @ x)
+    def eval_tf(self, s, p):
+        """G_r(s)[p] = C_r (sE - A)^{-1} B_r[p], rows on u_grid to y_grid."""
+        return self.C.T @ _solve(self._pencil(s), self._b_pair @ p)
 
-    def eval_tf_adjoint(self, s, q: FunctionVector) -> FunctionVector:
+    def eval_tf_adjoint(self, s, q):
         """G_r(s)^+[q], satisfying <eval_tf(s,p), q> = <p, eval_tf_adjoint(s,q)>."""
         U, sv, Vh = self._pencil(s)
-        w = U @ ((Vh @ (self._c_pair @ values_on(q, self.y_grid))) / sv)
-        return FunctionVector(self.u_grid, self.B.T @ w)
+        return self.B.T @ (U @ ((Vh @ (self._c_pair @ q)) / sv))
 
-    def eval_tf_derivative(self, s, p: FunctionVector) -> FunctionVector:
+    def eval_tf_derivative(self, s, p):
         """d/ds G_r(s)[p] = -C_r (sE-A)^{-1} E (sE-A)^{-1} B_r[p]."""
         factors = self._pencil(s)
-        x = _solve(factors, self._b_pair @ values_on(p, self.u_grid))
-        return FunctionVector(self.y_grid, -self.C.T @ _solve(factors, self.E @ x))
+        x = _solve(factors, self._b_pair @ p)
+        return -self.C.T @ _solve(factors, self.E @ x)
 
     def __repr__(self):
         return f"ReducedModel(r={self.r}, cond_E={self.e_cond:.2e})"
@@ -191,7 +188,9 @@ def pole_residue(rom: ReducedModel) -> PoleFactorModel:
 
 
 def simulate(rom: ReducedModel, u, T, dt):
-    """Exact-exponential time stepping of the diagonalized reduced system."""
+    """Exact-exponential time stepping of the diagonalized reduced system:
+    input rows on u_grid at t_k = k*dt in, output rows on y_grid out (see
+    PoleFactorModel.simulate)."""
     pr = pole_residue(rom)
     if np.max(np.real(pr.poles)) >= 0:
         warnings.warn(

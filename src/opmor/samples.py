@@ -16,15 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetError, ParseError
-from .funcspace import (
-    FunctionVector,
-    QuadratureGrid,
-    constant,
-    inner_product,
-    restrict_mode,
-    row_norms,
-    values_on,
-)
+from .funcspace import QuadratureGrid, inner_product, restrict_mode, row_norms
 from .jsonio import (
     complex_to_pair,
     dump_json,
@@ -109,22 +101,18 @@ class TangentialDataset:
             )
 
 
-def make_direction(spec, grid: QuadratureGrid) -> FunctionVector:
-    """Build a direction from a config string.
+def make_direction(spec, grid: QuadratureGrid):
+    """Node values on grid of a direction given by a config string.
 
     Supported forms: ``mode:n,m`` (restricted sine mode, unnormalized),
     ``const`` (constant, unit norm), ``random:seed`` (complex Gaussian node
     values from the fixed seed, unit norm).
     """
-    if isinstance(spec, FunctionVector):
-        return spec
     if not isinstance(spec, str):
-        raise ValueError(
-            f"direction spec must be a string or FunctionVector, got {type(spec).__name__}"
-        )
+        raise ValueError(f"direction spec must be a string, got {type(spec).__name__}")
     if spec == "const":
-        f = constant(grid)
-        return f * (1.0 / f.norm())
+        vals = np.ones(grid.size, dtype=np.complex128)
+        return vals * (1.0 / row_norms(vals, grid))
     if spec.startswith("mode:"):
         try:
             n, m = (int(v) for v in spec[len("mode:"):].split(","))
@@ -138,18 +126,17 @@ def make_direction(spec, grid: QuadratureGrid) -> FunctionVector:
             raise ValueError(f"bad random direction spec {spec!r}") from e
         rng = np.random.default_rng(seed)
         vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-        f = FunctionVector(grid, vals)
-        return f * (1.0 / f.norm())
+        return vals * (1.0 / row_norms(vals, grid))
     raise ValueError(f"unknown direction spec {spec!r}")
 
 
 def directions(specs, grid: QuadratureGrid, side: str) -> np.ndarray:
     """Stacked node-value rows (r x nodes) of tangential directions on grid:
     an r x nodes array passes through, other entries are spec strings (see
-    make_direction) or FunctionVectors on grid. Raises ValueError for a
-    shape mismatch or a zero direction, naming the side and index."""
+    make_direction) or rows on grid. Raises ValueError for a wrong node
+    count or a zero direction, naming the side and index."""
     if not isinstance(specs, np.ndarray):
-        specs = [values_on(make_direction(d, grid), grid) for d in specs]
+        specs = [d if isinstance(d, np.ndarray) else make_direction(d, grid) for d in specs]
     rows = np.asarray(specs, dtype=np.complex128).reshape(len(specs), grid.size)
     zero = np.flatnonzero(row_norms(rows, grid) == 0)
     if zero.size:
@@ -182,8 +169,10 @@ def conjugate_transform(points, rows, grid):
     # entry [k, l] asks whether sample l is the conjugate partner of sample k
     near = (np.abs(points[None, :] - np.conj(points)[:, None])
             < CONJUGATE_RTOL * np.maximum(1.0, np.abs(points))[:, None])
-    gaps = row_norms(rows[None, :, :] - np.conj(rows)[:, None, :], grid)
-    match = near & (gaps <= CONJUGATE_RTOL * np.maximum(1.0, row_norms(rows, grid))[:, None])
+    k, l = np.nonzero(near)
+    gaps = row_norms(rows[l] - np.conj(rows[k]), grid)
+    match = np.zeros((r, r), dtype=bool)
+    match[k, l] = gaps <= CONJUGATE_RTOL * np.maximum(1.0, row_norms(rows, grid))[k]
     partner = np.argmax(match, axis=1)
     if not np.all(match[np.arange(r), partner]) or np.any(partner[partner] != np.arange(r)):
         return None
@@ -219,13 +208,10 @@ def collect(model, sigmas, ps, rhos, qs, conjugate_close=False) -> TangentialDat
             f"right and left point counts differ ({len(sigmas)} vs {len(rhos)}); "
             "square data is required for assembly"
         )
-
-    ps = [FunctionVector(model.con_grid, p) for p in P]
-    qs = [FunctionVector(model.obs_grid, q) for q in Q]
-    right_values = np.array([model.apply_tf(s, p).values for s, p in zip(sigmas, ps)])
-    left_values = np.array([model.apply_tf_adjoint(t, q).values for t, q in zip(rhos, qs)])
+    right_values = np.array([model.apply_tf(s, p) for s, p in zip(sigmas, P)])
+    left_values = np.array([model.apply_tf_adjoint(t, q) for t, q in zip(rhos, Q)])
     hermites = {
-        (i, j): inner_product(model.apply_tf_derivative(sigmas[j], ps[j]), qs[i])
+        (i, j): inner_product(model.apply_tf_derivative(sigmas[j], P[j]), Q[i], model.obs_grid)
         for i, j in coincident_pairs(sigmas, rhos, DEFAULT_COINCIDENCE_TOL)
     }
     for i, j in coincident_pairs(sigmas, rhos, NEAR_COINCIDENCE_WARN):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opmor.funcspace import FunctionVector
+from opmor.funcspace import row_norms
 from opmor.heat2d import FullModel
 from opmor.models import PoleFactorModel
 from opmor.projection import ModalBasisMatrix
@@ -19,19 +19,19 @@ PROJECTOR_TRIALS = 20  # random vectors per idempotency and kernel test
 
 
 class RankOneModel(PoleFactorModel):
-    """Analytic rank-1 system G(s)[f] = <f, p>_U q / (s - pole).
+    """Analytic rank-1 system G(s)[f] = <f, p>_U q / (s - pole), with p and
+    q node-value rows on u_grid and y_grid.
 
     Used as a ground-truth model whose reduction is exactly recoverable at
     order one.
     """
 
-    def __init__(self, p: FunctionVector, q: FunctionVector, pole):
-        if p.norm() == 0 or q.norm() == 0:
+    def __init__(self, u_grid, y_grid, p, q, pole):
+        p = np.asarray(p, dtype=np.complex128)
+        q = np.asarray(q, dtype=np.complex128)
+        if row_norms(p, u_grid) == 0 or row_norms(q, y_grid) == 0:
             raise ValueError("rank-1 factors must be nonzero")
-        super().__init__(
-            p.grid, q.grid, [pole],
-            p.values[np.newaxis, :], q.values[np.newaxis, :],
-        )
+        super().__init__(u_grid, y_grid, [pole], p[np.newaxis, :], q[np.newaxis, :])
         self.p = p
         self.q = q
 

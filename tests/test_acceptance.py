@@ -13,7 +13,7 @@ import pytest
 
 from opmor import rom as rom_mod
 from opmor.cli import main
-from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
+from opmor.funcspace import Patch, QuadratureGrid, inner_product, row_norms
 from opmor.h2 import (
     FrequencyQuadrature,
     h2_error,
@@ -48,16 +48,14 @@ LEFT_DIRS = ["mode:1,1", "mode:2,2", "mode:1,3", "mode:1,3"]
 
 
 def unit_const(grid):
-    f = constant(grid)
-    return f * (1.0 / f.norm())
+    f = np.ones(grid.size, dtype=np.complex128)
+    return f / row_norms(f, grid)
 
 
 def random_unit(grid, seed):
     rng = np.random.default_rng(seed)
-    f = FunctionVector(
-        grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    )
-    return f * (1.0 / f.norm())
+    f = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    return f / row_norms(f, grid)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +81,7 @@ def heat8():
 def toy():
     u_grid = QuadratureGrid(CON, 8)
     y_grid = QuadratureGrid(OBS, 8)
-    return RankOneModel(unit_const(u_grid), unit_const(y_grid), -1.0)
+    return RankOneModel(u_grid, y_grid, unit_const(u_grid), unit_const(y_grid), -1.0)
 
 
 @pytest.fixture(scope="module")
@@ -95,16 +93,17 @@ def test_criterion_1_tangential_interpolation(heat, acceptance_log):
     ds = collect(heat, SIGMAS, RIGHT_DIRS, RHOS, LEFT_DIRS)
     rom = assemble(ds)
     worst_right = 0.0
-    for s, p in zip(SIGMAS, [FunctionVector(ds.u_grid, row) for row in ds.P]):
+    for s, p in zip(SIGMAS, ds.P):
         want = heat.apply_tf(s, p)
-        worst_right = max(worst_right, (rom.eval_tf(s, p) - want).norm() / want.norm())
+        worst_right = max(worst_right, row_norms(rom.eval_tf(s, p) - want, ds.y_grid)
+                          / row_norms(want, ds.y_grid))
     worst_left = 0.0
-    for t, q in zip(RHOS, [FunctionVector(ds.y_grid, row) for row in ds.Q]):
+    for t, q in zip(RHOS, ds.Q):
         want = heat.apply_tf_adjoint(t, q)
-        worst_left = max(worst_left, (rom.eval_tf_adjoint(t, q) - want).norm() / want.norm())
-    p0, q0 = FunctionVector(ds.u_grid, ds.P[0]), FunctionVector(ds.y_grid, ds.Q[0])
-    want = inner_product(heat.apply_tf_derivative(SIGMAS[0], p0), q0)
-    got = inner_product(rom.eval_tf_derivative(SIGMAS[0], p0), q0)
+        worst_left = max(worst_left, row_norms(rom.eval_tf_adjoint(t, q) - want, ds.u_grid)
+                         / row_norms(want, ds.u_grid))
+    want = inner_product(heat.apply_tf_derivative(SIGMAS[0], ds.P[0]), ds.Q[0], ds.y_grid)
+    got = inner_product(rom.eval_tf_derivative(SIGMAS[0], ds.P[0]), ds.Q[0], ds.y_grid)
     hermite = abs(got - want) / abs(want)
     ok = worst_right < 1e-8 and worst_left < 1e-8 and hermite < 1e-6
     acceptance_log(
@@ -178,7 +177,7 @@ def test_criterion_5_rank1_inner_product(heat, acceptance_log):
         p = random_unit(heat.con_grid, seed=300 + trial)
         q = random_unit(heat.obs_grid, seed=400 + trial)
         vals = np.array([
-            inner_product(q, heat.apply_tf(1j * w, p)) / (1j * w - lam)
+            inner_product(q, heat.apply_tf(1j * w, p), heat.obs_grid) / (1j * w - lam)
             for w in quad.omegas
         ])
         oracle = quad.integrate(vals) / (2.0 * np.pi)
@@ -190,8 +189,8 @@ def test_criterion_5_rank1_inner_product(heat, acceptance_log):
     p = unit_const(u_grid) * 2.0
     q = unit_const(y_grid) * 3.0
     lam = -0.7
-    model = RankOneModel(p, q, lam)
-    want = p.norm() ** 2 * q.norm() ** 2 / (-2.0 * lam)
+    model = RankOneModel(u_grid, y_grid, p, q, lam)
+    want = row_norms(p, u_grid) ** 2 * row_norms(q, y_grid) ** 2 / (-2.0 * lam)
     self_rel = abs(h2_inner_rank1(model, lam, p, q) - want) / want
     ok = worst_probe < 1e-6 and self_rel < 1e-8
     acceptance_log(
@@ -233,12 +232,8 @@ def test_criterion_7_fixed_point_optimality(heat, irka_result, acceptance_log):
         def jostle(rows, grid):
             out = []
             for d in rows:
-                d = FunctionVector(grid, d)
-                noise = FunctionVector(
-                    grid,
-                    rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size),
-                )
-                out.append((d + noise * (1e-3 * d.norm() / noise.norm())).values)
+                noise = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+                out.append(d + noise * (1e-3 * row_norms(d, grid) / row_norms(noise, grid)))
             return out
 
         perturbed = rom_mod.ReducedModel(
@@ -281,14 +276,13 @@ def test_criterion_9_time_domain_error_bound(heat, irka_result, acceptance_log):
     worst_margin = -np.inf
     ok = True
     for _ in range(10):
-        u = [FunctionVector(heat.con_grid, rng.standard_normal(heat.con_grid.size))
-             for _ in range(n_steps + 1)]
+        u = rng.standard_normal((n_steps + 1, heat.con_grid.size))
         y_full = heat.simulate(u, horizon, dt)
         y_rom = rom_mod.simulate(rom, u, horizon, dt)
-        sq = np.array([f.norm() ** 2 for f in u])
+        sq = row_norms(u, heat.con_grid) ** 2
         u_l2 = np.sqrt(dt * (np.sum(sq) - 0.5 * (sq[0] + sq[-1])))
-        max_err = max((a - b).norm() for a, b in zip(y_full, y_rom))
-        scale = max(f.norm() for f in y_full)
+        max_err = row_norms(y_full - y_rom, heat.obs_grid).max()
+        scale = row_norms(y_full, heat.obs_grid).max()
         bound = gain * u_l2 + 1e-3 * scale
         ok = ok and max_err <= bound
         worst_margin = max(worst_margin, max_err / bound)

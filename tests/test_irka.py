@@ -6,7 +6,7 @@ import pytest
 
 from opmor import h2, irka
 from opmor.errors import ConditioningError, PoleProximityError
-from opmor.funcspace import Patch, QuadratureGrid, constant, row_norms
+from opmor.funcspace import Patch, QuadratureGrid, row_norms
 from opmor.h2 import h2_error, optimality_residuals
 from opmor.heat2d import FullModel
 from opmor.irka import ConvergenceReport, IrkaConfig, run, step
@@ -15,8 +15,8 @@ from oracles import RankOneModel
 
 
 def unit_const(grid):
-    f = constant(grid)
-    return f * (1.0 / f.norm())
+    f = np.ones(grid.size, dtype=np.complex128)
+    return f / row_norms(f, grid)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def grids():
 
 @pytest.fixture(scope="module")
 def toy(grids):
-    return RankOneModel(unit_const(grids[0]), unit_const(grids[1]), -1.0)
+    return RankOneModel(*grids, unit_const(grids[0]), unit_const(grids[1]), -1.0)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,7 @@ class TestStep:
         assert row_norms(next_rights, toy.con_grid)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_unstable_pole_is_reflected(self, grids):
-        bad = RankOneModel(unit_const(grids[0]), unit_const(grids[1]), 0.5)
+        bad = RankOneModel(*grids, unit_const(grids[0]), unit_const(grids[1]), 0.5)
         _, pts, _, _ = step(bad, [2.0], [bad.p], [bad.q])
         assert pts[0] == pytest.approx(0.5, rel=1e-10)
 

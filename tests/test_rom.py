@@ -5,12 +5,12 @@ import pytest
 
 from opmor import h2
 from opmor.errors import ConditioningError, ParseError, SemiSimplicityError, SingularSolveError
-from opmor.funcspace import FunctionVector, Patch, QuadratureGrid, constant, inner_product
+from opmor.funcspace import Patch, QuadratureGrid, inner_product, row_norms
 from opmor.heat2d import FullModel
 from opmor.jsonio import family_to_json
 from opmor.loewner import assemble
 from opmor.rom import ReducedModel, load, pole_residue, save, simulate
-from opmor.samples import collect
+from opmor.samples import collect, directions
 
 from oracles import RankOneModel
 
@@ -19,26 +19,29 @@ Y_GRID = QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 8)
 
 
 def unit_const(grid):
-    f = constant(grid)
-    return f * (1.0 / f.norm())
+    f = np.ones(grid.size, dtype=np.complex128)
+    return f / row_norms(f, grid)
 
 
-def random_fv(grid, seed):
+def random_row(grid, seed):
     rng = np.random.default_rng(seed)
-    return FunctionVector(
-        grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    )
+    return rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
 
 
-def diag_rom(poles, b_dirs, c_dirs):
+def rel_gap(got, want, grid):
+    return row_norms(got - want, grid) / row_norms(want, grid)
+
+
+def diag_rom(poles, b_rows, c_rows):
+    """The diagonal model sum_i <., b_i> c_i / (s - poles[i]) with rows on
+    U_GRID and Y_GRID."""
     r = len(poles)
-    return ReducedModel(np.eye(r), np.diag(poles), [b.values for b in b_dirs],
-                        [c.values for c in c_dirs], b_dirs[0].grid, c_dirs[0].grid)
+    return ReducedModel(np.eye(r), np.diag(poles), b_rows, c_rows, U_GRID, Y_GRID)
 
 
 @pytest.fixture(scope="module")
 def toy():
-    return RankOneModel(unit_const(U_GRID), unit_const(Y_GRID), -1.0)
+    return RankOneModel(U_GRID, Y_GRID, unit_const(U_GRID), unit_const(Y_GRID), -1.0)
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +73,14 @@ def heat_rom(heat):
 class TestEvalTf:
     def test_r1_direct_formula(self):
         lam = -2.0 + 1.0j
-        b = random_fv(U_GRID, 1)
-        c = random_fv(Y_GRID, 2)
+        b = random_row(U_GRID, 1)
+        c = random_row(Y_GRID, 2)
         rom = diag_rom([lam], [b], [c])
-        p = random_fv(U_GRID, 3)
+        p = random_row(U_GRID, 3)
         s = 1.0 + 0.5j
         got = rom.eval_tf(s, p)
-        want = inner_product(p, b) / (s - lam) * c
-        np.testing.assert_allclose(got.values, want.values, rtol=1e-13)
+        want = inner_product(p, b, U_GRID) / (s - lam) * c
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_singular_at_pole(self, toy_rom):
         with pytest.raises(SingularSolveError):
@@ -87,14 +90,14 @@ class TestEvalTf:
         rng = np.random.default_rng(9)
         for k in range(20):
             s = complex(rng.uniform(0.5, 6), rng.uniform(-4, 4))
-            p = random_fv(U_GRID.__class__(heat_rom.u_grid.patch, heat_rom.u_grid.order), 50 + k)
-            q = random_fv(heat_rom.y_grid, 80 + k)
-            lhs = inner_product(heat_rom.eval_tf(s, p), q)
-            rhs = inner_product(p, heat_rom.eval_tf_adjoint(s, q))
+            p = random_row(heat_rom.u_grid, 50 + k)
+            q = random_row(heat_rom.y_grid, 80 + k)
+            lhs = inner_product(heat_rom.eval_tf(s, p), q, heat_rom.y_grid)
+            rhs = inner_product(p, heat_rom.eval_tf_adjoint(s, q), heat_rom.u_grid)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_derivative_finite_difference(self, heat_rom):
-        p = random_fv(heat_rom.u_grid, 4)
+        p = random_row(heat_rom.u_grid, 4)
         s = 2.0 + 1.0j
         # Five-point stencil. Relative to |G'|, its truncation error is about
         # 4 (h/d)^4 and its roundoff about 1.5 eps d/h, with d the distance
@@ -108,12 +111,12 @@ class TestEvalTf:
         near, far = f(s + h, p) - f(s - h, p), f(s + 2 * h, p) - f(s - 2 * h, p)
         fd = (near * 8 - far) * (1 / (12 * h))
         got = heat_rom.eval_tf_derivative(s, p)
-        assert (got - fd).norm() < 1e-8 * got.norm()
+        assert rel_gap(fd, got, heat_rom.y_grid) < 1e-8
 
     def test_zero_direction(self, heat_rom):
         grid = heat_rom.y_grid
-        out = heat_rom.eval_tf_adjoint(1.0, FunctionVector(grid, np.zeros(grid.size)))
-        assert np.all(out.values == 0)
+        out = heat_rom.eval_tf_adjoint(1.0, np.zeros(grid.size))
+        assert np.all(out == 0)
 
     def test_realization_invariance(self, heat_rom):
         # (M E K, M A K, M B, C K) has the same transfer function for any
@@ -130,12 +133,12 @@ class TestEvalTf:
             heat_rom.u_grid,
             heat_rom.y_grid,
         )
-        p = random_fv(heat_rom.u_grid, 12)
+        p = random_row(heat_rom.u_grid, 12)
         for k in range(10):
             s = complex(rng.uniform(0.5, 8), rng.uniform(-5, 5))
             a = heat_rom.eval_tf(s, p)
             b = twisted.eval_tf(s, p)
-            assert (a - b).norm() < 1e-10 * a.norm()
+            assert rel_gap(b, a, heat_rom.y_grid) < 1e-10
 
 
 def spy_linalg(monkeypatch):
@@ -162,7 +165,7 @@ class TestOneFactorization:
         grid = heat_rom.y_grid if method == "eval_tf_adjoint" else heat_rom.u_grid
         calls = spy_linalg(monkeypatch)
         for k, s in enumerate([0.5, 4.0 + 3.0j, 20.0]):
-            getattr(heat_rom, method)(s, random_fv(grid, k))
+            getattr(heat_rom, method)(s, random_row(grid, k))
             assert calls == [(heat_rom.r, heat_rom.r)] * (k + 1)
 
     def test_h2_quadrature_one_svd_per_node(self, heat, heat_rom, monkeypatch):
@@ -192,15 +195,15 @@ class TestOneFactorization:
 class TestPoleResidue:
     def test_already_diagonal(self):
         poles = [-1.0, -3.0, -7.0]
-        bs = [random_fv(U_GRID, 20 + k) for k in range(3)]
-        cs = [random_fv(Y_GRID, 30 + k) for k in range(3)]
+        bs = [random_row(U_GRID, 20 + k) for k in range(3)]
+        cs = [random_row(Y_GRID, 30 + k) for k in range(3)]
         rom = diag_rom(poles, bs, cs)
         pr = pole_residue(rom)
         np.testing.assert_allclose(pr.poles, sorted(poles), rtol=1e-14)
         # sorted ascending by real part: order reversed vs input
         for k, idx in enumerate([2, 1, 0]):
-            np.testing.assert_allclose(pr.input_factors[k], bs[idx].values, rtol=1e-12)
-            np.testing.assert_allclose(pr.output_factors[k], cs[idx].values, rtol=1e-12)
+            np.testing.assert_allclose(pr.input_factors[k], bs[idx], rtol=1e-12)
+            np.testing.assert_allclose(pr.output_factors[k], cs[idx], rtol=1e-12)
 
     def test_real_pencil_gives_exact_conjugate_pairs(self):
         # a real similarity transform of blockdiag([[-3, 2], [-2, -3]], -1):
@@ -225,19 +228,18 @@ class TestPoleResidue:
         pr = pole_residue(toy_rom)
         assert pr.poles[0] == pytest.approx(-1.0, rel=1e-12)
         # residue pair recovers <., p> q
-        f = random_fv(U_GRID, 5)
-        want = inner_product(f, toy.p) * toy.q
-        got = (inner_product(f, FunctionVector(U_GRID, pr.input_factors[0]))
-               * FunctionVector(Y_GRID, pr.output_factors[0]))
-        np.testing.assert_allclose(got.values, want.values, rtol=1e-11)
+        f = random_row(U_GRID, 5)
+        want = inner_product(f, toy.p, U_GRID) * toy.q
+        got = inner_product(f, pr.input_factors[0], U_GRID) * pr.output_factors[0]
+        np.testing.assert_allclose(got, want, rtol=1e-11)
 
     def test_jordan_block_rejected(self):
         lam = -2.0
         rom = ReducedModel(
             np.eye(2),
             np.array([[lam, 1.0], [0.0, lam]]),
-            [random_fv(U_GRID, 1).values, random_fv(U_GRID, 2).values],
-            [random_fv(Y_GRID, 3).values, random_fv(Y_GRID, 4).values],
+            [random_row(U_GRID, 1), random_row(U_GRID, 2)],
+            [random_row(Y_GRID, 3), random_row(Y_GRID, 4)],
             U_GRID,
             Y_GRID,
         )
@@ -249,12 +251,12 @@ class TestPoleResidue:
         pr = pole_residue(heat_rom)
         assert pr.poles.size == heat_rom.r  # degree bound: exactly r finite poles
         rng = np.random.default_rng(6)
-        p = random_fv(heat_rom.u_grid, 7)
+        p = random_row(heat_rom.u_grid, 7)
         for _ in range(10):
             s = complex(rng.uniform(0.5, 6), rng.uniform(-4, 4))
             a = heat_rom.eval_tf(s, p)
             b = pr.apply_tf(s, p)
-            assert (a - b).norm() < 1e-9 * a.norm()
+            assert rel_gap(b, a, heat_rom.y_grid) < 1e-9
 
 
 class TestConditioning:
@@ -265,8 +267,8 @@ class TestConditioning:
             ReducedModel(
                 np.diag([1.0, 1e-13]),
                 -np.eye(2),
-                [random_fv(U_GRID, 1).values, random_fv(U_GRID, 2).values],
-                [random_fv(Y_GRID, 3).values, random_fv(Y_GRID, 4).values],
+                [random_row(U_GRID, 1), random_row(U_GRID, 2)],
+                [random_row(Y_GRID, 3), random_row(Y_GRID, 4)],
                 U_GRID,
                 Y_GRID,
             )
@@ -274,7 +276,7 @@ class TestConditioning:
 
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_singular_or_non_finite_e_rejected(self, bad):
-        ports = ([random_fv(U_GRID, 1).values] * 2, [random_fv(Y_GRID, 3).values] * 2)
+        ports = ([random_row(U_GRID, 1)] * 2, [random_row(Y_GRID, 3)] * 2)
         with pytest.raises(ConditioningError) as ei:
             ReducedModel(np.diag([1.0, bad]), -np.eye(2), *ports, U_GRID, Y_GRID)
         assert ei.value.cond_estimate == np.inf
@@ -304,8 +306,8 @@ class TestStability:
         assert -worst == pytest.approx(1.0, rel=1e-12)
 
     def test_unstable(self):
-        rom = diag_rom([0.1, -1.0], [random_fv(U_GRID, 1), random_fv(U_GRID, 2)],
-                       [random_fv(Y_GRID, 3), random_fv(Y_GRID, 4)])
+        rom = diag_rom([0.1, -1.0], [random_row(U_GRID, 1), random_row(U_GRID, 2)],
+                       [random_row(Y_GRID, 3), random_row(Y_GRID, 4)])
         worst = np.max(pole_residue(rom).poles.real)
         assert worst >= 0
         assert -worst == pytest.approx(-0.1, rel=1e-12)
@@ -316,9 +318,10 @@ class TestStability:
 
 class TestSimulate:
     def test_zero_input(self, toy_rom):
-        u = [FunctionVector(U_GRID, np.zeros(U_GRID.size))] * 11
+        u = np.zeros((11, U_GRID.size))
         y = simulate(toy_rom, u, T=1.0, dt=0.1)
-        assert all(np.all(v.values == 0) for v in y)
+        assert y.shape == (11, Y_GRID.size)
+        assert np.all(y == 0)
 
     def test_step_reaches_steady_state(self, toy, toy_rom):
         # pole at -1: transient decays like e^{-t}; at T = 16 it is ~1e-7
@@ -327,10 +330,10 @@ class TestSimulate:
         dt = 0.05
         T = 16.0
         n = int(round(T / dt))
-        u = [p0] * (n + 1)
+        u = np.tile(p0, (n + 1, 1))
         y = simulate(toy_rom, u, T=T, dt=dt)
         want = toy_rom.eval_tf(0.0, p0)
-        assert (y[-1] - want).norm() < 2e-7 * want.norm()
+        assert rel_gap(y[-1], want, Y_GRID) < 2e-7
 
     def test_exact_recovery_matches_full_simulation(self):
         # single-mode heat model is rank one, so the r=1 Loewner model is an
@@ -346,18 +349,43 @@ class TestSimulate:
         n = int(round(T / dt))
         rng = np.random.default_rng(3)
         coef = rng.standard_normal(n + 1)
-        u = [float(c) * constant(heat.con_grid) for c in coef]
+        u = np.tile(coef[:, None], (1, heat.con_grid.size))
         y_full = heat.simulate(u, T=T, dt=dt)
         y_rom = simulate(rom, u, T=T, dt=dt)
-        scale = max(v.norm() for v in y_full)
-        for a, b in zip(y_full, y_rom):
-            assert (a - b).norm() < 1e-6 * scale
+        scale = row_norms(y_full, heat.obs_grid).max()
+        assert np.all(row_norms(y_full - y_rom, heat.obs_grid) < 1e-6 * scale)
 
     def test_unstable_warns(self):
         rom = diag_rom([0.5], [unit_const(U_GRID)], [unit_const(Y_GRID)])
-        u = [unit_const(U_GRID)] * 3
+        u = np.tile(unit_const(U_GRID), (3, 1))
         with pytest.warns(UserWarning, match="unstable"):
             simulate(rom, u, T=0.2, dt=0.1)
+
+
+# Every port takes a node-value row on its grid; a row with another node
+# count is caught by numpy's reshape or matmul, wherever it enters.
+WRONG_LENGTH_CASES = [f"{kind}.{call}" for kind in ("full", "pole_residue", "reduced")
+                      for call in ("tf", "tf_adjoint", "tf_derivative")]
+WRONG_LENGTH_CASES += ["full.simulate", "reduced.simulate", "directions"]
+
+
+@pytest.mark.parametrize("case", WRONG_LENGTH_CASES)
+def test_row_of_wrong_length_rejected(heat, heat_rom, case):
+    # both ports have order-20 grids here; the row comes from an order-21 grid
+    finer = QuadratureGrid(heat.con_grid.patch, heat.con_grid.order + 1)
+    row = np.ones(finer.size, dtype=np.complex128)
+    kind, _, call = case.partition(".")
+    model = {"full": heat, "pole_residue": pole_residue(heat_rom), "reduced": heat_rom}.get(kind)
+    with pytest.raises(ValueError):
+        if kind == "directions":
+            directions([row], heat.con_grid, "right")
+        elif case == "full.simulate":
+            heat.simulate(np.tile(row, (3, 1)), T=0.02, dt=0.01)
+        elif case == "reduced.simulate":
+            simulate(heat_rom, np.tile(row, (3, 1)), T=0.02, dt=0.01)
+        else:
+            prefix = "eval_" if kind == "reduced" else "apply_"
+            getattr(model, prefix + call)(1.0, row)
 
 
 class TestSaveLoad:
@@ -445,7 +473,7 @@ class TestSaveLoad:
         obj = json.loads(path.read_text())
         grid = heat_rom.u_grid if family == "b_rows" else heat_rom.y_grid
         other = QuadratureGrid(grid.patch, grid.order + 1)
-        obj[family][1] = family_to_json(constant(other).values[None, :], other)[0]
+        obj[family][1] = family_to_json(np.ones((1, other.size)), other)[0]
         path.write_text(json.dumps(obj))
         with pytest.raises(ParseError, match="one grid"):
             load(path)
