@@ -11,12 +11,7 @@ from opmor.funcspace import Patch, QuadratureGrid
 from opmor.h2 import interpolation_residuals
 from opmor.heat2d import FullModel, default_quad_order
 from opmor.loewner import assemble
-from opmor.projection import (
-    build_bases,
-    project_explicit,
-    sylvester_residual_left,
-    sylvester_residual_right,
-)
+from opmor.projection import build_bases, project_explicit, sylvester_residuals
 from opmor.samples import collect
 
 SIGMAS = [1.0, 2.0, 5.0 + 1.0j, 5.0 - 1.0j]
@@ -42,16 +37,15 @@ def main():
     )
     dataset = collect(model, SIGMAS, RIGHT_DIRS, RHOS, LEFT_DIRS)
     rom_data = assemble(dataset)
-    V, W = build_bases(model, SIGMAS, RIGHT_DIRS, RHOS, LEFT_DIRS)
-    rom_proj = project_explicit(model, V, W)
+    V, W, data = build_bases(model, SIGMAS, RIGHT_DIRS, RHOS, LEFT_DIRS)
+    rom_proj = project_explicit(model, V, W, data)
 
     print(f"model: {model.poles.size} modes, r = {rom_data.r}")
     print(f"E agreement:        {rel_gap(rom_data.E, rom_proj.E):.3e}")
     print(f"A agreement:        {rel_gap(rom_data.A, rom_proj.A):.3e}")
     print(f"B rows agreement:   {rel_gap(rom_data.B, rom_proj.B):.3e}")
     print(f"C columns agreement:{rel_gap(rom_data.C, rom_proj.C):.3e}")
-    _, rel_r = sylvester_residual_right(model, V, SIGMAS, RIGHT_DIRS)
-    _, rel_l = sylvester_residual_left(model, W, RHOS, LEFT_DIRS)
+    rel_r, rel_l = sylvester_residuals(model, V, W, data)
     print(f"Sylvester residuals: right {rel_r:.3e}, left {rel_l:.3e}")
 
     worst = np.concatenate(interpolation_residuals(rom_data, dataset)).max()

@@ -34,17 +34,17 @@ def parse_point(obj, where=""):
     return pair_to_complex(obj, where, 0)
 
 
-def build_model(block, where="model") -> FullModel:
+def build_model(block) -> FullModel:
     """Heat benchmark model from its config block."""
     if not isinstance(block, dict):
-        raise ParseError(f"expected an object at {where}")
+        raise ParseError("expected an object at model")
     try:
-        con_patch = patch_from_json(block["con_patch"], f"{where}.con_patch")
-        obs_patch = patch_from_json(block["obs_patch"], f"{where}.obs_patch")
-        n_modes = integer(block["n_modes"], f"{where}.n_modes")
+        con_patch = patch_from_json(block["con_patch"], "model.con_patch")
+        obs_patch = patch_from_json(block["obs_patch"], "model.obs_patch")
+        n_modes = integer(block["n_modes"], "model.n_modes")
     except KeyError as e:
-        raise ParseError(f"{where} is missing required key {e}") from e
-    order = integer(block.get("quad_order", default_quad_order(n_modes)), f"{where}.quad_order")
+        raise ParseError(f"model is missing required key {e}") from e
+    order = integer(block.get("quad_order", default_quad_order(n_modes)), "model.quad_order")
     return FullModel(
         QuadratureGrid(con_patch, order),
         QuadratureGrid(obs_patch, order),
@@ -56,7 +56,6 @@ def build_model(block, where="model") -> FullModel:
 class RunConfig:
     raw: dict
     sha256: str
-    path: str
 
     @property
     def model_block(self) -> dict:
@@ -81,4 +80,4 @@ def load_run_config(path) -> RunConfig:
         raise ParseError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict) or "model" not in raw:
         raise ParseError(f"config {path} must be an object with a 'model' block")
-    return RunConfig(raw=raw, sha256=hashlib.sha256(data).hexdigest(), path=str(path))
+    return RunConfig(raw=raw, sha256=hashlib.sha256(data).hexdigest())

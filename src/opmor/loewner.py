@@ -15,9 +15,9 @@ scalar h = <dG/ds(sigma_j)[p_j], q_i>:
 The input map rows are the left sample values, the output map columns the
 right sample values, so the assembled model interpolates the data by
 construction. Data conjugate-closed on both sides give the equivalent real
-realization, where a pair's input rows and output columns are sqrt(2) times
-the real and imaginary parts of its first sample. No model evaluations
-happen here; the dataset is the only input.
+realization (rom.interpolant), where a pair's input rows and output columns
+are sqrt(2) times the real and imaginary parts of its first sample. No model
+evaluations happen here; the dataset is the only input.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .rom import ReducedModel, real_realization
-from .samples import TangentialDataset, conjugate_transform
+from .rom import ReducedModel, interpolant
+from .samples import TangentialDataset
 
 COND_WARN = 1e8
 
@@ -76,14 +76,9 @@ def assemble(dataset: TangentialDataset) -> ReducedModel:
     model can be re-validated against a model config alone.
     """
     dataset.validate()
-    E, A = _matrices(dataset)
-    B, C = dataset.left_values, dataset.right_values
-    TL = conjugate_transform(dataset.rhos, dataset.Q, dataset.y_grid)
-    TR = conjugate_transform(dataset.sigmas, dataset.P, dataset.u_grid)
-    if TL is not None and TR is not None:
-        E, A, B, C = real_realization(E, A, B, C, TL, TR)
-    rom = ReducedModel(E, A, B, C, dataset.u_grid, dataset.y_grid,
-                       data=(dataset.sigmas, dataset.P, dataset.rhos, dataset.Q))
+    rom = interpolant(*_matrices(dataset), dataset.left_values, dataset.right_values,
+                      dataset.u_grid, dataset.y_grid,
+                      (dataset.sigmas, dataset.P, dataset.rhos, dataset.Q))
     if rom.e_cond > COND_WARN:
         warnings.warn(
             f"assembled E has condition estimate {rom.e_cond:.3e}; results may lose "

@@ -6,15 +6,16 @@ trial basis vectors are shifted-resolvent images of the input directions,
     v_j = (sigma_j - A)^{-1} B[p_j],   coefficients <1_con p_j, phi_k> / (sigma_j - lam_k),
 
 and the test functionals are adjoint-resolvent images of the output
-directions. W is stored row-wise with pairing-ready (conjugated Riesz)
-coefficients
+directions. Both bases are plain arrays: V is modes x r, one column per
+v_j, and W is r x modes, stored row-wise with pairing-ready (conjugated
+Riesz) coefficients
 
     W[i, k] = <phi_k|obs, q_i> / (rho_i - lam_k),
 
 so that every dual pairing becomes a plain matrix product: E_r = W V,
 A_r = W (lam * V). The same series also reproduces the input/output maps the
-data-driven path reads off from samples, which makes the two routes
-comparable entry by entry.
+data-driven path reads off from samples, and both paths end in
+rom.interpolant, which makes the two routes comparable entry by entry.
 
 Everything here runs at the model's own truncation, so agreement with the
 sampled path is limited by rounding, not by series truncation.
@@ -22,52 +23,37 @@ sampled path is limited by rounding, not by series truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import __version__
 from .errors import ConditioningError
 from .heat2d import FullModel
-from .rom import ReducedModel, real_realization
-from .samples import conjugate_transform, directions
+from .rom import ReducedModel, interpolant
+from .samples import directions
 
 RANK_RTOL = 1e-13
 
 
-@dataclass
-class ModalBasisMatrix:
-    """Modal-coordinate basis: columns of V (modes x r) or rows of W (r x modes).
-
-    ``points`` and ``directions`` (stacked node-value rows) record where the
-    basis came from; they are None for synthetic (e.g. random test) bases.
-    """
-
-    kind: str  # "V" or "W"
-    coeffs: np.ndarray
-    points: Optional[np.ndarray] = None
-    directions: Optional[np.ndarray] = None
-
-    def check_rank(self):
-        """Raise with Gram diagnostics when columns/rows are numerically
-        dependent."""
-        mat = self.coeffs if self.kind == "V" else self.coeffs.T
-        if mat.shape[1] == 0:
-            return
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] <= RANK_RTOL * sv[0]:
-            norms = np.linalg.norm(mat, axis=0)
-            gram = (mat.conj().T @ mat) / np.outer(norms, norms)
-            raise ConditioningError(
-                f"{self.kind} basis is rank deficient: singular values "
-                f"{sv[0]:.3e} .. {sv[-1]:.3e}, normalized Gram determinant "
-                f"{abs(np.linalg.det(gram)):.3e}"
-            )
+def check_rank(name, mat):
+    """Raise with Gram diagnostics when the columns of mat (V, or W
+    transposed) are numerically dependent."""
+    if mat.shape[1] == 0:
+        return
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv[-1] <= RANK_RTOL * sv[0]:
+        norms = np.linalg.norm(mat, axis=0)
+        gram = (mat.conj().T @ mat) / np.outer(norms, norms)
+        raise ConditioningError(
+            f"{name} basis is rank deficient: singular values "
+            f"{sv[0]:.3e} .. {sv[-1]:.3e}, normalized Gram determinant "
+            f"{abs(np.linalg.det(gram)):.3e}"
+        )
 
 
 def build_bases(model: FullModel, sigmas, ps, rhos, qs):
-    """Modal trial/test bases for the given tangential data.
+    """Modal trial/test bases V (modes x r) and W (r x modes) for the given
+    tangential data, and the data (sigmas, P, rhos, Q) as ReducedModel.data
+    holds it: points as arrays, directions as rows on the port grids.
 
     Directions are anything samples.directions accepts. Points must be off
     the retained spectrum; duplicate (point, direction) pairs produce a
@@ -80,61 +66,42 @@ def build_bases(model: FullModel, sigmas, ps, rhos, qs):
     sigmas = np.array([model._check_point(s) for s in sigmas], dtype=complex)
     rhos = np.array([model._check_point(t) for t in rhos], dtype=complex)
     lam = model.poles.real
-    V = ModalBasisMatrix("V", model.pair_con(P).T / (sigmas - lam[:, None]), sigmas, P)
-    W = ModalBasisMatrix("W", np.conj(model.pair_obs(Q)) / (rhos[:, None] - lam), rhos, Q)
-    V.check_rank()
-    W.check_rank()
-    return V, W
+    V = model.pair_con(P).T / (sigmas - lam[:, None])
+    W = np.conj(model.pair_obs(Q)) / (rhos[:, None] - lam)
+    check_rank("V", V)
+    check_rank("W", W.T)
+    return V, W, (sigmas, P, rhos, Q)
 
 
-def project_explicit(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix) -> ReducedModel:
+def project_explicit(model: FullModel, V, W, data=None) -> ReducedModel:
     """Petrov-Galerkin reduction E = W V, A = W (lam V), with the input map
     rows and output map columns realized on the model grids.
 
     The resulting input representers are exactly the adjoint-resolvent
     samples the data-driven path uses, and the output columns the transfer
-    samples, whenever V and W came from build_bases; conjugate-closed
-    recorded data give the same real realization as loewner.assemble.
+    samples, whenever V, W and data came from build_bases; with that data,
+    conjugate-closed points give the same real realization as
+    loewner.assemble. Without data the realization stays complex.
     """
-    V.check_rank()
-    W.check_rank()
+    check_rank("V", V)
+    check_rank("W", W.T)
     lam = model.poles.real
-    E = W.coeffs @ V.coeffs
-    A = W.coeffs @ (lam[:, None] * V.coeffs)
-    B = model.expand_con(np.conj(W.coeffs))
-    C = model.expand_obs(V.coeffs.T)
-    data = None
-    if V.points is not None and W.points is not None:
-        data = (V.points, V.directions, W.points, W.directions)
-        TL = conjugate_transform(W.points, W.directions, model.obs_grid)
-        TR = conjugate_transform(V.points, V.directions, model.con_grid)
-        if TL is not None and TR is not None:
-            E, A, B, C = real_realization(E, A, B, C, TL, TR)
-    rom = ReducedModel(E, A, B, C, model.con_grid, model.obs_grid, data=data)
+    rom = interpolant(W @ V, W @ (lam[:, None] * V), model.expand_con(np.conj(W)),
+                      model.expand_obs(V.T), model.con_grid, model.obs_grid, data)
     rom.provenance = {"kind": "projection", "tool_version": __version__, "cond_E": rom.e_cond}
     return rom
 
 
-def sylvester_residual_right(model: FullModel, V: ModalBasisMatrix, sigmas, ps):
-    """Frobenius residual of V diag(sigma) - A V = [B p_1 ... B p_r] in modal
-    coordinates; returns (absolute, relative)."""
-    B = model.pair_con(directions(ps, model.con_grid, "right")).T
-    if B.size == 0:
-        return 0.0, 0.0
+def sylvester_residuals(model: FullModel, V, W, data):
+    """Relative Frobenius residuals of V diag(sigma) - A V = [B p_1 ... B p_r]
+    in modal coordinates and of diag(rho) W - W A = [C* q_1; ...; C* q_r] in
+    the same pairing coordinates as W, each 0 for an empty basis; returns
+    (right, left)."""
+    sigmas, P, rhos, Q = data
     lam = model.poles.real
-    R = V.coeffs @ np.diag(np.asarray(sigmas, dtype=complex)) - lam[:, None] * V.coeffs - B
-    absres = float(np.linalg.norm(R))
-    return absres, absres / float(np.linalg.norm(B))
-
-
-def sylvester_residual_left(model: FullModel, W: ModalBasisMatrix, rhos, qs):
-    """Frobenius residual of diag(rho) W - W A = [C* q_1; ...; C* q_r] in the
-    same pairing coordinates as W; returns (absolute, relative)."""
-    C = np.conj(model.pair_obs(directions(qs, model.obs_grid, "left")))
-    if C.size == 0:
-        return 0.0, 0.0
-    lam = model.poles.real
-    R = np.diag(np.asarray(rhos, dtype=complex)) @ W.coeffs - W.coeffs * lam[None, :] - C
-    absres = float(np.linalg.norm(R))
-    return absres, absres / float(np.linalg.norm(C))
-
+    B = model.pair_con(P).T
+    C = np.conj(model.pair_obs(Q))
+    right = V @ np.diag(sigmas) - lam[:, None] * V - B
+    left = np.diag(rhos) @ W - W * lam[None, :] - C
+    return tuple(float(np.linalg.norm(R)) / float(np.linalg.norm(rhs)) if rhs.size else 0.0
+                 for R, rhs in ((right, B), (left, C)))

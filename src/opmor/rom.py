@@ -10,7 +10,8 @@ apply the inverse, its adjoint, or the inverse twice with E in between for
 the derivative. The pole-residue decomposition turns the pencil into r
 scalar poles with tangential directions as a models.PoleFactorModel; the
 IRKA update, the closed-form H2 quantities (stability included) and exact
-time stepping use that form.
+time stepping use that form. Both interpolatory constructions build their
+model through interpolant, which realizes conjugate-closed data in real form.
 A real pencil is diagonalized in real arithmetic, so its poles come in
 bitwise-conjugate pairs; with real ports too, each pair's residues are set
 pairwise to exact conjugates, and a real pole's residues are real.
@@ -31,6 +32,7 @@ from .errors import (
 from .jsonio import (complex_to_pair, dump_json, family_from_json, family_to_json, integer,
                      load_json, pair_to_complex)
 from .models import PoleFactorModel
+from .samples import conjugate_transform
 
 # relative eigenvalue separation below which a pencil is treated as defective
 POLE_SEPARATION_RTOL = 1e-8
@@ -60,9 +62,10 @@ class ReducedModel:
     of ``C`` holds the image c_j of reduced basis vector j under the output
     map on ``y_grid``. ``provenance`` is a JSON-plain dict recorded into the
     file format unchanged. ``data`` is None or the tangential data (sigmas,
-    P, rhos, Q), directions as rows on the port grids; only ``save`` and
-    ``load`` encode it. ``e_cond`` is cond(E); the constructor raises
-    ConditioningError when it is not finite or above COND_LIMIT.
+    P, rhos, Q), directions as rows on the port grids, the same tuple
+    projection.build_bases returns; only ``save`` and ``load`` encode it.
+    ``e_cond`` is cond(E); the constructor raises ConditioningError when it
+    is not finite or above COND_LIMIT.
     """
 
     def __init__(self, E, A, B, C, u_grid, y_grid, provenance=None, data=None):
@@ -138,11 +141,20 @@ class ReducedModel:
         return f"ReducedModel(r={self.r}, cond_E={self.e_cond:.2e})"
 
 
-def real_realization(E, A, B, C, TL, TR):
-    """Real parts of the equivalent realization (TL^H E TR, TL^H A TR, TL^T B,
-    TR^T C); real up to round-off for samples.conjugate_transform data."""
-    return ((TL.conj().T @ E @ TR).real, (TL.conj().T @ A @ TR).real,
-            (TL.T @ B).real, (TR.T @ C).real)
+def interpolant(E, A, B, C, u_grid, y_grid, data=None) -> ReducedModel:
+    """The ReducedModel (E, A, B, C) with tangential data ``data``. Data
+    conjugate-closed on both sides (samples.conjugate_transform gives TL for
+    the left, TR for the right) yield the real parts of the equivalent
+    realization (TL^H E TR, TL^H A TR, TL^T B, TR^T C), real up to round-off;
+    loewner.assemble and projection.project_explicit both end here."""
+    if data is not None:
+        sigmas, P, rhos, Q = data
+        TL = conjugate_transform(rhos, Q, y_grid)
+        TR = conjugate_transform(sigmas, P, u_grid)
+        if TL is not None and TR is not None:
+            E, A = (TL.conj().T @ E @ TR).real, (TL.conj().T @ A @ TR).real
+            B, C = (TL.T @ B).real, (TR.T @ C).real
+    return ReducedModel(E, A, B, C, u_grid, y_grid, data=data)
 
 
 def pole_residue(rom: ReducedModel) -> PoleFactorModel:

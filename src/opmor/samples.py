@@ -222,12 +222,10 @@ def collect(model, sigmas, ps, rhos, qs, conjugate_close=False) -> TangentialDat
                 "apart: nearly coincident data is ill-conditioned",
                 stacklevel=2,
             )
-    ds = TangentialDataset(
+    return TangentialDataset(
         np.array(sigmas, dtype=np.complex128), np.array(rhos, dtype=np.complex128),
         P, right_values, Q, left_values, model.con_grid, model.obs_grid, hermites,
     )
-    ds.validate()
-    return ds
 
 
 def save(dataset: TangentialDataset, path):

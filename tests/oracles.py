@@ -13,7 +13,6 @@ import numpy as np
 from opmor.funcspace import row_norms
 from opmor.heat2d import FullModel
 from opmor.models import PoleFactorModel
-from opmor.projection import ModalBasisMatrix
 
 PROJECTOR_TRIALS = 20  # random vectors per idempotency and kernel test
 
@@ -43,9 +42,10 @@ class ProjectorReport:
     kernel_max: float
 
 
-def projector_check(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix, s,
-                    seed: int = 0) -> ProjectorReport:
-    """Numerical test of the skew projector P(s) = V (W (s - A) V)^{-1} W (s - A).
+def projector_check(model: FullModel, V, W, s, seed: int = 0) -> ProjectorReport:
+    """Numerical test of the skew projector P(s) = V (W (s - A) V)^{-1} W (s - A)
+    for modal bases V (modes x r) and W (r x modes) as projection.build_bases
+    returns them.
 
     Applies P twice to PROJECTOR_TRIALS random modal vectors and reports the worst relative
     idempotency defect, the worst deviation of P v from v over the columns
@@ -55,12 +55,12 @@ def projector_check(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix, 
     """
     s = model._check_point(s)
     lam = model.poles.real
-    M = W.coeffs @ ((s - lam)[:, None] * V.coeffs)
+    M = W @ ((s - lam)[:, None] * V)
 
     def apply_p(x):
-        return V.coeffs @ np.linalg.solve(M, W.coeffs @ ((s - lam) * x))
+        return V @ np.linalg.solve(M, W @ ((s - lam) * x))
 
-    mw = W.coeffs * (s - lam)
+    mw = W * (s - lam)
     mw_pinv = np.linalg.pinv(mw)
     rng = np.random.default_rng(seed)
     idem = 0.0
@@ -72,8 +72,8 @@ def projector_check(model: FullModel, V: ModalBasisMatrix, W: ModalBasisMatrix, 
         xk = x - mw_pinv @ (mw @ x)
         kern = max(kern, np.linalg.norm(apply_p(xk)) / np.linalg.norm(xk))
     rng_max = 0.0
-    for j in range(V.coeffs.shape[1]):
-        v = V.coeffs[:, j]
+    for j in range(V.shape[1]):
+        v = V[:, j]
         rng_max = max(rng_max, np.linalg.norm(apply_p(v) - v) / np.linalg.norm(v))
     return ProjectorReport(idempotency_max=float(idem), range_max=float(rng_max),
                            kernel_max=float(kern))

@@ -381,7 +381,8 @@ class TestSeparablePath:
         model, dense = separable_pair
         P, Q = random_rows(model.con_grid, 3, 1), random_rows(model.obs_grid, 3, 2)
         rng = np.random.default_rng(3)
-        coef = rng.standard_normal((3, model.poles.size)) + 1j * rng.standard_normal((3, model.poles.size))
+        K = model.poles.size
+        coef = rng.standard_normal((3, K)) + 1j * rng.standard_normal((3, K))
         for name, rows in (("pair_con", P), ("pair_obs", Q),
                            ("expand_con", coef), ("expand_obs", coef)):
             want = getattr(dense, name)(rows)
@@ -467,9 +468,8 @@ class TestDenseTablesOnDemand:
         assert optimality_residuals(model, rom).max_residual >= 0
         u = np.tile(ones_row(model.con_grid), (3, 1))
         assert len(model.simulate(u, T=0.02, dt=0.01)) == 3
-        V, W = build_bases(model, [1.0, 3.0], ["mode:1,1", "mode:2,1"],
-                           [2.0, 4.0], ["mode:1,2", "mode:2,2"])
-        project_explicit(model, V, W)
+        project_explicit(model, *build_bases(model, [1.0, 3.0], ["mode:1,1", "mode:2,1"],
+                                             [2.0, 4.0], ["mode:1,2", "mode:2,2"]))
         assert not set(DENSE_TABLES) & set(vars(model))
 
     def test_workflow_builds_no_k_squared_array(self):

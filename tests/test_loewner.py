@@ -10,7 +10,8 @@ from opmor.h2 import interpolation_residuals
 from opmor.heat2d import FullModel
 from opmor.loewner import _matrices, assemble, dataset_hash
 from opmor.rom import ReducedModel, pole_residue
-from opmor.samples import TangentialDataset, collect, conjugate_transform, load, save
+from opmor.projection import build_bases, project_explicit
+from opmor.samples import collect, conjugate_transform, load, save
 
 from oracles import RankOneModel
 
@@ -270,10 +271,24 @@ class TestAssembleHeat:
         assert dataset_hash(load(path)) == dataset_hash(ds)
 
 
+def loewner_route(model, sigmas, ps, rhos, qs):
+    return assemble(collect(model, sigmas, ps, rhos, qs))
+
+
+def projection_route(model, sigmas, ps, rhos, qs):
+    return project_explicit(model, *build_bases(model, sigmas, ps, rhos, qs))
+
+
+# both interpolatory constructions end in rom.interpolant
+ROUTES = pytest.mark.parametrize("route", [loewner_route, projection_route],
+                                 ids=["assemble", "project_explicit"])
+
+
 class TestRealRealization:
-    def test_closed_data_give_real_matrices_and_poles(self, readme):
-        _, ds = readme
-        rom = assemble(ds)
+    @ROUTES
+    def test_closed_data_give_real_matrices_and_poles(self, readme, route):
+        model, _ = readme
+        rom = route(model, README_SIGMAS, README_RIGHT_DIRS, README_RHOS, README_LEFT_DIRS)
         for arr in (rom.E, rom.A, rom.B, rom.C):
             assert not np.any(arr.imag)
         poles = pole_residue(rom).poles
@@ -292,11 +307,19 @@ class TestRealRealization:
             gap = rel_gap(rom.eval_tf(s, p), ref.eval_tf(s, p), ds.y_grid)
             assert gap <= np.finfo(float).eps * ref.e_cond
 
-    def test_unpaired_point_keeps_complex_realization(self, readme):
+    @ROUTES
+    def test_unpaired_point_keeps_complex_realization(self, readme, route):
         model, _ = readme
-        ds = collect(model, README_SIGMAS[:3], README_RIGHT_DIRS[:3],
-                     README_RHOS[:3], README_LEFT_DIRS[:3])
-        assert np.any(assemble(ds).E.imag)
+        rom = route(model, README_SIGMAS[:3], README_RIGHT_DIRS[:3],
+                    README_RHOS[:3], README_LEFT_DIRS[:3])
+        assert np.any(rom.E.imag)
+
+    def test_projection_without_data_keeps_complex_realization(self, readme):
+        model, _ = readme
+        V, W, _ = build_bases(model, README_SIGMAS, README_RIGHT_DIRS,
+                              README_RHOS, README_LEFT_DIRS)
+        rom = project_explicit(model, V, W)
+        assert rom.data is None and np.any(rom.E.imag)
 
     def test_interpolation_residuals_at_round_off(self, readme):
         # applying the pencil's SVD factors reproduces the README data to

@@ -8,7 +8,6 @@ from opmor.funcspace import Patch, QuadratureGrid, inner_product, row_norms
 from opmor.heat2d import FullModel, eigenvalue
 from opmor.loewner import assemble
 from opmor.samples import (
-    TangentialDataset,
     collect,
     conjugate_closure,
     conjugate_transform,

@@ -1,5 +1,5 @@
-"""The package carries only what runs: no module under src/opmor or scripts/
-imports a name it never uses, every top-level function and class in
+"""The package carries only what runs: no module under src/opmor, scripts/
+or tests/ imports a name it never uses, every top-level function and class in
 src/opmor is reached from the package itself, the scripts or the benchmark,
 and src/opmor imports nothing but the standard library, numpy and itself.
 Only jsonio, the file formats' one encoder and decoder, and config, which
@@ -19,6 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "opmor").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # the benchmark's own test pins counts; it is not a caller of the package
 BENCH = sorted(p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_bench.py")
 
@@ -70,7 +71,7 @@ def imported_names(tree):
 
 def test_no_unused_imports():
     unused = []
-    for path in PACKAGE + SCRIPTS:
+    for path in PACKAGE + SCRIPTS + TESTS:
         tree = parse(path)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.relative_to(ROOT)}:{line} {name}"
