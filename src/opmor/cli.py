@@ -24,7 +24,8 @@ from . import samples
 from .config import build_model, load_run_config, parse_point
 from .errors import DatasetError, ParseError, ReductionError
 from .h2 import (
-    FrequencyQuadrature,
+    DEFAULT_NODES,
+    frequency_rule,
     h2_error,
     h2_norm_report,
     hs_norm,
@@ -33,7 +34,7 @@ from .h2 import (
 )
 from .irka import IrkaConfig
 from .irka import run as irka_run
-from .jsonio import complex_to_pair, dump_json, integer, positive_float
+from .jsonio import complex_to_pair, dump_json, integer, json_list, positive_float
 from .loewner import assemble
 
 log = logging.getLogger("opmor")
@@ -74,14 +75,13 @@ def cmd_sample(args) -> int:
     model = build_model(cfg.model_block)
     block = cfg.task("sample")
     try:
-        sigmas = [parse_point(s, f"sample.sigmas[{j}]")
-                  for j, s in enumerate(block["sigmas"])]
-        rhos = [parse_point(s, f"sample.rhos[{j}]")
-                for j, s in enumerate(block["rhos"])]
-        right_dirs = block["right_dirs"]
-        left_dirs = block["left_dirs"]
+        sigmas, rhos, right_dirs, left_dirs = [
+            json_list(block[key], f"sample.{key}")
+            for key in ("sigmas", "rhos", "right_dirs", "left_dirs")]
     except KeyError as e:
         raise ParseError(f"sample block is missing {e}") from e
+    sigmas = [parse_point(s, f"sample.sigmas[{j}]") for j, s in enumerate(sigmas)]
+    rhos = [parse_point(s, f"sample.rhos[{j}]") for j, s in enumerate(rhos)]
     close = block.get("conjugate_close", False)
     if not isinstance(close, bool):
         raise ParseError(f"sample.conjugate_close must be true or false, got {close!r}")
@@ -143,8 +143,7 @@ def cmd_h2(args) -> int:
     cfg = load_run_config(args.config)
     model = build_model(cfg.model_block)
     rom = _load_rom(args.rom, model) if args.rom else None
-    quad = FrequencyQuadrature()
-    norms = h2_norm_report(model, quad)
+    norms = h2_norm_report(model, DEFAULT_NODES)
     report = _report_base(cfg)
     report.update({
         "norm_closed": norms.closed,
@@ -168,7 +167,7 @@ def cmd_h2(args) -> int:
         header = "omega,hs_full" + (",hs_rom" if rom is not None else "")
         lines = [header]
         rom_form = rom_mod.pole_residue(rom) if rom is not None else None
-        for w in quad.omegas:
+        for w in frequency_rule(DEFAULT_NODES)[0]:
             row = [_fmt(w), _fmt(hs_norm(model, 1j * w))]
             if rom is not None:
                 row.append(_fmt(hs_norm(rom_form, 1j * w)))
@@ -181,8 +180,12 @@ def cmd_h2(args) -> int:
 
 # ---------------------------------------------------------------- irka
 
-def _seeded_specs(dirs, base_seed):
-    return [f"random:{base_seed + k}" if d == "random" else d for k, d in enumerate(dirs)]
+def _seeded_specs(block, key, base_seed):
+    """irka.<key>'s direction specs, each 'random' seeded by its index, or None."""
+    if block.get(key) is None:
+        return None
+    return [f"random:{base_seed + k}" if d == "random" else d
+            for k, d in enumerate(json_list(block[key], f"irka.{key}"))]
 
 
 def cmd_irka(args) -> int:
@@ -197,21 +200,16 @@ def cmd_irka(args) -> int:
         init_points = [parse_point(complex_to_pair(complex(tok)), "--init")
                        for tok in args.init.split(",")]
     elif "init_points" in block:
-        init_points = [parse_point(s, "irka.init_points") for s in block["init_points"]]
+        init_points = [parse_point(s, "irka.init_points")
+                       for s in json_list(block["init_points"], "irka.init_points")]
     else:
         init_points = None
     seed = integer(option(args.seed, "seed", 0), "--seed or irka.seed", allow_zero=True)
-    right_dirs = block.get("init_right_dirs")
-    left_dirs = block.get("init_left_dirs")
-    if right_dirs is not None:
-        right_dirs = _seeded_specs(right_dirs, seed)
-    if left_dirs is not None:
-        left_dirs = _seeded_specs(left_dirs, seed + 1000)
     irka_config = IrkaConfig(
         r=integer(option(args.order, "order"), "--order or irka.order"),
         init_points=init_points,
-        init_right_dirs=right_dirs,
-        init_left_dirs=left_dirs,
+        init_right_dirs=_seeded_specs(block, "init_right_dirs", seed),
+        init_left_dirs=_seeded_specs(block, "init_left_dirs", seed + 1000),
         max_iter=integer(option(args.max_iter, "max_iter", IrkaConfig.max_iter),
                          "--max-iter or irka.max_iter", allow_zero=True),
         point_tol=positive_float(option(args.tol, "point_tol", IrkaConfig.point_tol),

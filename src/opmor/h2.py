@@ -2,13 +2,14 @@
 tangential optimality residuals.
 
 Every routine works on a pole-factor sum G(s) = sum_k <., u_k> y_k /
-(s - lam_k); a reduced model enters through its pole-residue form. Each
+(s - lam_k): the norms take pole-factor models, and h2_error and
+optimality_residuals take a reduced model's pole-residue form once. Each
 model computes its own squared norms: hs_sq(s), the Hilbert-Schmidt norm at
 s, and h2_sq, the closed double series over pole pairs, which a pole-factor
 model contracts with its factor Grams and the heat model with its 1-D Grams.
 The H2 inner product with <., p> q / (s - lam) is one transfer evaluation
 at the mirror point -conj(lam), which gives the H2 error and the optimality
-conditions. The frequency quadrature is the independent cross-check;
+conditions. The frequency rule (two arrays) is the independent cross-check;
 h2_error_quadrature solves with the reduced pencil instead.
 """
 
@@ -60,39 +61,24 @@ def _gauss_legendre(n):
 
 
 @functools.lru_cache(maxsize=None)
-def _frequency_rule(n_nodes):
-    """(omegas, weights) of FrequencyQuadrature(n_nodes), built once per
-    node count, since node doubling asks for the same rules on every call."""
+def frequency_rule(n_nodes: int = DEFAULT_NODES):
+    """Read-only (omegas, weights) of the Gauss-Legendre rule in theta with
+    omega = tan(theta), mapping (-pi/2, pi/2) onto the real frequency axis:
+    values @ weights integrates a sampled integrand over the real line.
+
+    The substitution absorbs the 1/omega^2 tail of stable integrands, so a
+    few hundred nodes resolve them to near machine precision. Each rule is
+    built once per node count, since node doubling asks for the same rules
+    on every call.
+    """
+    if n_nodes < 64:
+        raise ValueError(f"need at least 64 nodes, got {n_nodes}")
     x, w = _gauss_legendre(n_nodes)
     omegas = np.tan(x * (np.pi / 2))
     weights = w * (np.pi / 2) * (1.0 + omegas ** 2)
     for arr in (omegas, weights):
         arr.setflags(write=False)
     return omegas, weights
-
-
-class FrequencyQuadrature:
-    """Gauss-Legendre rule in theta with omega = tan(theta), mapping
-    (-pi/2, pi/2) onto the real frequency axis.
-
-    The substitution absorbs the 1/omega^2 tail of stable integrands, so a
-    few hundred nodes resolve them to near machine precision.
-    """
-
-    def __init__(self, n_nodes: int = DEFAULT_NODES):
-        if n_nodes < 64:
-            raise ValueError(f"need at least 64 nodes, got {n_nodes}")
-        self.omegas, self.weights = _frequency_rule(n_nodes)
-
-    def integrate(self, values):
-        """Integral over the real line of a sampled integrand."""
-        return np.asarray(values) @ self.weights
-
-
-def _factor_form(system) -> PoleFactorModel:
-    """The system as a pole-factor sum: a full model as it is, a reduced
-    model through its pole-residue form."""
-    return pole_residue(system) if isinstance(system, ReducedModel) else system
 
 
 def _require_stable(poles) -> None:
@@ -103,44 +89,38 @@ def _require_stable(poles) -> None:
                              "the frequency integral diverges")
 
 
-def _stable_factor_form(system) -> PoleFactorModel:
-    """_factor_form, with every pole in the open left half-plane."""
-    model = _factor_form(system)
-    _require_stable(model.poles)
-    return model
-
-
-def hs_norm(system, s) -> float:
+def hs_norm(model: PoleFactorModel, s) -> float:
     """Hilbert-Schmidt norm of the transfer operator at a point s off the
     poles."""
-    model = _factor_form(system)
     return np.sqrt(model.hs_sq(model._check_point(s)))
 
 
-def _h2_sq_quadrature(model, quad: FrequencyQuadrature) -> float:
-    vals = [model.hs_sq(1j * w) for w in quad.omegas]
-    return float(quad.integrate(vals)) / (2.0 * np.pi)
+def _h2_sq_quadrature(model, omegas, weights) -> float:
+    vals = [model.hs_sq(1j * w) for w in omegas]
+    return float(np.asarray(vals) @ weights) / (2.0 * np.pi)
 
 
 def _converged_quadrature(fn):
-    """Evaluate fn(quad) -> (value, scale) with node doubling until the value
-    stabilizes to QUAD_STABLE_RTOL times the larger of itself and the scale,
-    so a value of 0 settles too (or the node budget runs out; the pole scales
-    here keep convergence spectral, so that is a corner case, not an error)."""
+    """Evaluate fn(omegas, weights) -> (value, scale) with node doubling until
+    the value stabilizes to QUAD_STABLE_RTOL times the larger of itself and
+    the scale, so a value of 0 settles too (or the node budget runs out; the
+    pole scales here keep convergence spectral, so that is a corner case, not
+    an error)."""
     n = DEFAULT_NODES
-    value, _ = fn(FrequencyQuadrature(n))
+    value, _ = fn(*frequency_rule(n))
     while 2 * n <= MAX_NODES:
         n *= 2
-        refined, scale = fn(FrequencyQuadrature(n))
+        refined, scale = fn(*frequency_rule(n))
         if abs(refined - value) <= QUAD_STABLE_RTOL * max(abs(refined), abs(value), scale):
             return refined
         value = refined
     return value
 
 
-def h2_norm(system) -> float:
+def h2_norm(model: PoleFactorModel) -> float:
     """H2 norm via the closed double series over pole pairs."""
-    return np.sqrt(_stable_factor_form(system).h2_sq)
+    _require_stable(model.poles)
+    return np.sqrt(model.h2_sq)
 
 
 @dataclass
@@ -148,31 +128,24 @@ class H2NormReport:
     closed: float
     quadrature: float
 
-    @property
-    def rel_gap(self) -> float:
-        return abs(self.closed - self.quadrature) / max(self.closed, np.finfo(float).tiny)
 
+def h2_norm_report(model: PoleFactorModel, n_nodes: int | None = None) -> H2NormReport:
+    """Both H2 norm computations (closed series and frequency quadrature),
+    for cross-checking and reporting.
 
-def h2_norm_report(system, quad: FrequencyQuadrature | None = None) -> H2NormReport:
-    """Both H2 norm computations (closed series and frequency quadrature)
-    with their agreement, for cross-checking and reporting.
-
-    Without an explicit rule the quadrature doubles its nodes until stable.
+    Without a node count the quadrature doubles its nodes until stable.
     """
-    model = _stable_factor_form(system)
-    if quad is None:
-        qsq = _converged_quadrature(lambda q: (_h2_sq_quadrature(model, q),) * 2)
+    _require_stable(model.poles)
+    if n_nodes is None:
+        qsq = _converged_quadrature(lambda *rule: (_h2_sq_quadrature(model, *rule),) * 2)
     else:
-        qsq = _h2_sq_quadrature(model, quad)
-    return H2NormReport(
-        closed=np.sqrt(model.h2_sq),
-        quadrature=np.sqrt(qsq),
-    )
+        qsq = _h2_sq_quadrature(model, *frequency_rule(n_nodes))
+    return H2NormReport(closed=np.sqrt(model.h2_sq), quadrature=np.sqrt(qsq))
 
 
-def h2_inner_rank1(system, lam, p, q):
+def h2_inner_rank1(model: PoleFactorModel, lam, p, q):
     """H2 inner product of the rank-1 function <., p> q / (s - lam) against
-    the system's transfer function, evaluated as <q, G(-conj lam)[p]>_Y for
+    the model's transfer function, evaluated as <q, G(-conj lam)[p]>_Y for
     the rows p on the control grid and q on the observation grid.
 
     One transfer evaluation replaces the frequency integral; lam must lie in
@@ -181,7 +154,7 @@ def h2_inner_rank1(system, lam, p, q):
     lam = complex(lam)
     if lam.real >= 0:
         raise ValueError(f"pole must satisfy Re < 0, got {lam}")
-    model = _stable_factor_form(system)
+    _require_stable(model.poles)
     return inner_product(q, model.apply_tf(-np.conj(lam), p), model.obs_grid)
 
 
@@ -194,8 +167,9 @@ def h2_error(full, rom: ReducedModel) -> float:
     Tiny negative round-off is clamped to zero; a negative value beyond
     round-off scale means the inputs are inconsistent and raises.
     """
-    full = _stable_factor_form(full)
-    pr = _stable_factor_form(rom)
+    _require_stable(full.poles)
+    pr = pole_residue(rom)
+    _require_stable(pr.poles)
     gsq, grsq = full.h2_sq, pr.h2_sq
     cross = sum(h2_inner_rank1(full, lam, b, c)
                 for lam, b, c in zip(pr.poles, pr.input_factors, pr.output_factors))
@@ -222,17 +196,17 @@ def h2_error_quadrature(full, rom: ReducedModel) -> float:
     until stable. Stability is read from the eigenvalues of the pencil, not
     from the pole-residue form this oracle cross-checks.
     """
-    full = _stable_factor_form(full)
+    _require_stable(full.poles)
     _require_stable(np.linalg.eigvals(np.linalg.solve(rom.E, rom.A)))
     GUb = np.conj(full.pair_con(rom.B)).T   # <u_k, b_i>_U
     GYc = full.pair_obs(rom.C).T            # <c_i, y_k>_Y
     GB, GC = _grams(rom.B, rom.C, rom.u_grid, rom.y_grid)
     lam = full.poles
 
-    def integral(rule):
+    def integral(omegas, weights):
         # the squared error, 0 for an exact ROM, and its scale ||G||^2 + ||G_r||^2
         total = scale = 0.0
-        for w, wt in zip(rule.omegas, rule.weights):
+        for w, wt in zip(omegas, weights):
             s = 1j * w
             U, sv, Vh = rom._pencil(s)
             K = (Vh.conj().T / sv) @ U.conj().T
@@ -292,8 +266,9 @@ def optimality_residuals(full, rom: ReducedModel) -> OptimalityReport:
     error: the interpolation residuals against the full model's data at the
     mirror points -conj(lam_i), with transfer values along b_i, adjoint
     values along c_i, and the bilinear derivative along the pair (b_i, c_i)."""
-    _stable_factor_form(full)
-    pr = _stable_factor_form(rom)
+    _require_stable(full.poles)
+    pr = pole_residue(rom)
+    _require_stable(pr.poles)
     mirrors = -np.conj(pr.poles)
     eps_right, eps_left, eps_herm = interpolation_residuals(
         rom, collect(full, mirrors, pr.input_factors, mirrors, pr.output_factors))

@@ -38,7 +38,7 @@ from .samples import collect, directions
 @dataclass
 class IrkaConfig:
     r: int
-    init_points: list | None = None        # None: log-spaced over the decade above the slowest pole
+    init_points: list | None = None        # None: log-spaced over [1, 10 |slowest pole|]
     init_right_dirs: list | None = None    # None: lowest retained input factors, normalized
     init_left_dirs: list | None = None
     max_iter: int = 50
@@ -105,10 +105,10 @@ def _matched_movement(old, new) -> float:
 
 
 def _default_init(full, r):
-    """Points log-spaced over the decade above the slowest pole and the
-    lowest r retained input/output factors, phase-fixed. The factors are
-    expanded from complex unit coefficient rows, which reproduces the
-    factor table rows bit for bit without building the tables."""
+    """Points log-spaced over [1, 10 |lam_slowest|], [1, 197] at the heat
+    model, and the lowest r retained input/output factors, phase-fixed. The
+    factors are expanded from complex unit coefficient rows, which reproduces
+    the factor table rows bit for bit without building the tables."""
     K = full.poles.size
     if r > K:
         raise ValueError(f"default init needs r <= {K} retained modes, got r = {r}")

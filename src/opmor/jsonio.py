@@ -64,6 +64,13 @@ def integer(value, where: str, allow_zero: bool = False) -> int:
     return value
 
 
+def json_list(value, where: str) -> list:
+    """value, or a ParseError naming the field unless it is a JSON array."""
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be a JSON array, got {value!r}")
+    return value
+
+
 def positive_float(value, where: str) -> float:
     """float(value), or a ParseError naming the field unless value is an int
     or float in (0, largest float]; a bool or a string is not a number here."""

@@ -15,7 +15,7 @@ from opmor import rom as rom_mod
 from opmor.cli import main
 from opmor.funcspace import Patch, QuadratureGrid, inner_product, row_norms
 from opmor.h2 import (
-    FrequencyQuadrature,
+    frequency_rule,
     h2_error,
     h2_error_quadrature,
     h2_inner_rank1,
@@ -161,7 +161,7 @@ def test_criterion_4_skew_projector(heat, acceptance_log):
 
 
 def test_criterion_5_rank1_inner_product(heat, acceptance_log):
-    quad = FrequencyQuadrature(512)
+    omegas, weights = frequency_rule(512)
     rng = np.random.default_rng(42)
     worst_probe = 0.0
     for trial in range(5):
@@ -170,9 +170,9 @@ def test_criterion_5_rank1_inner_product(heat, acceptance_log):
         q = random_unit(heat.obs_grid, seed=400 + trial)
         vals = np.array([
             inner_product(q, heat.apply_tf(1j * w, p), heat.obs_grid) / (1j * w - lam)
-            for w in quad.omegas
+            for w in omegas
         ])
-        oracle = quad.integrate(vals) / (2.0 * np.pi)
+        oracle = vals @ weights / (2.0 * np.pi)
         got = h2_inner_rank1(heat, lam, p, q)
         worst_probe = max(worst_probe, abs(got - oracle) / abs(oracle))
 
@@ -192,7 +192,8 @@ def test_criterion_5_rank1_inner_product(heat, acceptance_log):
 
 
 def test_criterion_6_h2_norm_and_error_consistency(heat8, acceptance_log):
-    norm_gap = h2_norm_report(heat8).rel_gap
+    norms = h2_norm_report(heat8)
+    norm_gap = abs(norms.quadrature - norms.closed) / norms.closed
     rom = assemble(collect(heat8, [1.0, 2.0], ["mode:1,1", "mode:1,2"],
                            [1.0, 2.0], ["mode:1,1", "mode:2,2"]))
     err_closed = h2_error(heat8, rom)

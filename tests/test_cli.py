@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,15 +62,15 @@ class TestPipeline:
         out = str(pipeline["dir"] / "vreport.json")
         main(["validate", "--config", pipeline["config"],
               "--rom", pipeline["rom"], "--tol", "1e-8", "--out", out])
-        report = json.loads(open(out).read())
-        raw = open(pipeline["config"], "rb").read()
+        report = json.loads(Path(out).read_text())
+        raw = Path(pipeline["config"]).read_bytes()
         assert report["config_sha256"] == hashlib.sha256(raw).hexdigest()
         assert report["tool_version"] == __version__
-        rom = json.loads(open(pipeline["rom"]).read())
+        rom = json.loads(Path(pipeline["rom"]).read_text())
         assert rom["provenance"]["config_sha256"] == report["config_sha256"]
 
     def test_corrupted_entry_fails_validation(self, pipeline, capsys):
-        rom = json.loads(open(pipeline["rom"]).read())
+        rom = json.loads(Path(pipeline["rom"]).read_text())
         rom["E"][0][0][0] *= 1.5
         bad = pipeline["dir"] / "rom_bad.json"
         bad.write_text(json.dumps(rom))
@@ -126,7 +127,7 @@ class TestPipeline:
         # one port row, then one provenance direction, moved to another grid
         for family in (lambda rom: rom["b_rows"],
                        lambda rom: rom["provenance"]["right_dirs"]):
-            rom = json.loads(open(pipeline["rom"]).read())
+            rom = json.loads(Path(pipeline["rom"]).read_text())
             order = family(rom)[1]["quad_order"] + 1
             family(rom)[1].update(quad_order=order, values=[[1.0, 0.0]] * order**2)
             bad = pipeline["dir"] / "rom_mixed.json"
@@ -152,7 +153,7 @@ class TestPipeline:
         assert not out.exists()
 
     def test_directions_off_the_port_grids_are_bad_input(self, pipeline, capsys):
-        rom = json.loads(open(pipeline["rom"]).read())
+        rom = json.loads(Path(pipeline["rom"]).read_text())
         for key in ("right_dirs", "left_dirs"):
             for direction in rom["provenance"][key]:
                 order = direction["quad_order"] + 1
@@ -164,7 +165,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("r", [4.7, "4"])
     def test_fractional_rom_order_is_bad_input(self, pipeline, capsys, r):
-        rom = json.loads(open(pipeline["rom"]).read())
+        rom = json.loads(Path(pipeline["rom"]).read_text())
         rom["r"] = r
         bad = pipeline["dir"] / "rom_r.json"
         bad.write_text(json.dumps(rom))
@@ -181,7 +182,7 @@ class TestPipeline:
         ("r", 4.0, "r must be a positive integer"),
     ])
     def test_lax_dataset_field_is_bad_input(self, pipeline, capsys, field, value, message):
-        data = json.loads(open(pipeline["data"]).read())
+        data = json.loads(Path(pipeline["data"]).read_text())
         (data["hermites"][0] if field in ("i", "j") else data)[field] = value
         bad = pipeline["dir"] / "lax.json"
         bad.write_text(json.dumps(data))
@@ -195,7 +196,7 @@ class TestPipeline:
         "lefts_on_other_grid",
     ])
     def test_malformed_dataset_is_bad_input(self, pipeline, corrupt):
-        data = json.loads(open(pipeline["data"]).read())
+        data = json.loads(Path(pipeline["data"]).read_text())
         hermites, lefts = data["hermites"], data["lefts"]
         if corrupt == "duplicate_hermite":
             hermites.append(dict(hermites[0]))
@@ -212,8 +213,32 @@ class TestPipeline:
                    "--out", str(pipeline["dir"] / "rom_bad.json")])
         assert rc == 2
 
+    def test_validate_block_must_be_an_object(self, pipeline, capsys):
+        # read only when --tol is absent
+        config = write_config(pipeline["dir"] / "v.json", validate=[])
+        assert main(["validate", "--config", config, "--rom", pipeline["rom"]]) == 2
+        assert "config block 'validate' must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact, key", [("data", "rights"), ("rom", "E")])
+    def test_artifact_without_a_field_is_bad_input(self, pipeline, capsys, artifact, key):
+        obj = json.loads(Path(pipeline[artifact]).read_text())
+        del obj[key]
+        bad = pipeline["dir"] / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = pipeline["dir"] / "out.json"
+        command = (["reduce", "--data", str(bad)] if artifact == "data"
+                   else ["validate", "--rom", str(bad)])
+        assert main([*command, "--config", pipeline["config"], "--out", str(out)]) == 2
+        assert f"{bad}: missing or malformed field: '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_rom_file_is_bad_input(self, pipeline, capsys):
+        missing = pipeline["dir"] / "nope.json"
+        assert main(["validate", "--config", pipeline["config"], "--rom", str(missing)]) == 2
+        assert f"{missing}: " in capsys.readouterr().err
+
     def test_validate_needs_tangential_provenance(self, pipeline):
-        rom = json.loads(open(pipeline["rom"]).read())
+        rom = json.loads(Path(pipeline["rom"]).read_text())
         rom["provenance"] = {"kind": "projection"}
         bare = pipeline["dir"] / "rom_bare.json"
         bare.write_text(json.dumps(rom))
@@ -267,6 +292,32 @@ class TestErrorExits:
         bad.write_text(json.dumps({"model": {"n_modes": 4}}))
         assert main(["h2", "--config", str(bad),
                      "--out", str(tmp_path / "x.json")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "must be an object with a 'model' block"),
+        ('{"model": 5}', "expected an object at model"),
+    ])
+    def test_config_shape_is_bad_input(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        out = tmp_path / "x.json"
+        assert main(["h2", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("sample", "sigmas", 5), ("sample", "rhos", 2.5), ("sample", "right_dirs", "mode:1,1"),
+        ("sample", "left_dirs", {"mode": "1,1"}), ("irka", "init_points", 3.0),
+        ("irka", "init_right_dirs", "random"), ("irka", "init_left_dirs", "random"),
+    ])
+    def test_non_array_field_is_bad_input(self, tmp_path, capsys, command, field, value):
+        blocks = {"sample": dict(SAMPLE_BLOCK), "irka": {"order": 1, "init_points": [3.0]}}
+        blocks[command][field] = value
+        cfg = write_config(tmp_path / "c.json", **blocks)
+        out = tmp_path / "x.json"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"{command}.{field} must be a JSON array, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sample_block_required(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -542,6 +593,41 @@ class TestSimulateCommand:
                    "--input", str(inp), "--out", str(pipeline["dir"] / "y.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read input signal"),
+        ("time,u0\n0,1\n", "need a header and at least two time rows"),
+        ("time,u0\n0,1\n0.1,warm\n", "non-numeric entry"),
+    ], ids=["missing", "one-row", "non-numeric"])
+    def test_unusable_signal_file_is_bad_input(self, pipeline, capsys, text, message):
+        inp = pipeline["dir"] / "input.csv"
+        if text is not None:
+            inp.write_text(text)
+        out = pipeline["dir"] / "y.csv"
+        rc = main(["simulate", "--config", pipeline["config"], "--rom", pipeline["rom"],
+                   "--input", str(inp), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(inp) in err and message in err
+        assert not out.exists()
+
+    def test_unpaired_complex_points_refuse_a_real_csv(self, tmp_path, capsys):
+        # without conjugate partners the pencil stays complex, and so does
+        # the simulated output: a computed check fails, exit 1
+        block = dict(SAMPLE_BLOCK, sigmas=[1.0, [5.0, 1.0]], rhos=[2.0, [6.0, 1.0]],
+                     right_dirs=SAMPLE_BLOCK["right_dirs"][:2],
+                     left_dirs=SAMPLE_BLOCK["left_dirs"][:2])
+        config = write_config(tmp_path / "c.json", sample=block)
+        data, rom = str(tmp_path / "data.json"), str(tmp_path / "rom.json")
+        assert main(["sample", "--config", config, "--out", data]) == 0
+        assert main(["reduce", "--config", config, "--data", data, "--out", rom]) == 0
+        inp, out = tmp_path / "input.csv", tmp_path / "y.csv"
+        self.write_input(inp, MODEL_BLOCK["quad_order"] ** 2)
+        rc = main(["simulate", "--config", config, "--rom", rom,
+                   "--input", str(inp), "--out", str(out)])
+        assert rc == 1
+        assert "refusing to write a real-valued CSV" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("horizon", ["inf", "1e400", "nan", "-0.5", "0"])
     def test_unusable_horizon_is_bad_input(self, pipeline, capsys, horizon):
         inp = pipeline["dir"] / "input.csv"
@@ -574,7 +660,7 @@ class TestSimulateCommand:
 def write_corrupted(src, dst, path, token):
     """Copy the JSON file src to dst with the entry at the key path
     replaced by the raw JSON text token (such as NaN or 1e400)."""
-    obj = json.loads(open(src).read())
+    obj = json.loads(Path(src).read_text())
     parent = obj
     for key in path[:-1]:
         parent = parent[key]

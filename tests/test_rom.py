@@ -171,14 +171,8 @@ class TestOneFactorization:
     def test_h2_quadrature_one_svd_per_node(self, heat, heat_rom, monkeypatch):
         # the stability check makes the one solve, against E for the
         # pencil's eigenvalues; every node's work goes through one SVD
-        nodes = []
-
-        class CountedRule(h2.FrequencyQuadrature):
-            def __init__(self, n_nodes):
-                super().__init__(n_nodes)
-                nodes.append(n_nodes)
-
-        monkeypatch.setattr(h2, "FrequencyQuadrature", CountedRule)
+        nodes, rule = [], h2.frequency_rule
+        monkeypatch.setattr(h2, "frequency_rule", lambda n: nodes.append(n) or rule(n))
         solve, solves = np.linalg.solve, []
 
         def counted_solve(a, b):
