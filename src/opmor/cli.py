@@ -43,18 +43,16 @@ IMAG_RESIDUE_RTOL = 1e-6
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _fmt_or_empty(x) -> str:
-    return "" if x != x else _fmt(x)  # NaN-safe for history columns
+    return "" if x != x else format(float(x), ".17g")  # an empty cell for NaN
 
 
 def _report_base(cfg) -> dict:
     return {"tool_version": __version__, "config_sha256": cfg.sha256}
 
 
-def _write_lines(path, lines) -> None:
+def _write_csv(path, header, rows) -> None:
+    """A CSV table: the header names, then one line per row of numbers."""
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -164,15 +162,10 @@ def cmd_h2(args) -> int:
         ]
     dump_json(report, args.out)
     if args.csv:
-        header = "omega,hs_full" + (",hs_rom" if rom is not None else "")
-        lines = [header]
-        rom_form = rom_mod.pole_residue(rom) if rom is not None else None
-        for w in frequency_rule(DEFAULT_NODES)[0]:
-            row = [_fmt(w), _fmt(hs_norm(model, 1j * w))]
-            if rom is not None:
-                row.append(_fmt(hs_norm(rom_form, 1j * w)))
-            lines.append(",".join(row))
-        _write_lines(args.csv, lines)
+        forms = [model] + ([rom_mod.pole_residue(rom)] if rom is not None else [])
+        _write_csv(args.csv, ["omega", "hs_full", "hs_rom"][: len(forms) + 1],
+                   [[w] + [hs_norm(f, 1j * w) for f in forms]
+                    for w in frequency_rule(DEFAULT_NODES)[0]])
     print(f"h2 norm closed {norms.closed:.6e}, quadrature {norms.quadrature:.6e}"
           + (f", error^2 {report['h2_error']:.6e}" if rom is not None else ""))
     return 0
@@ -197,8 +190,14 @@ def cmd_irka(args) -> int:
         return arg if arg is not None else block.get(key, default)
 
     if args.init is not None:
-        init_points = [parse_point(complex_to_pair(complex(tok)), "--init")
-                       for tok in args.init.split(",")]
+        init_points = []
+        for k, tok in enumerate(args.init.split(",")):
+            try:
+                z = complex(tok)
+            except ValueError as e:
+                raise ParseError(f"--init[{k}] must be a real or complex number, "
+                                 f"got {tok!r}") from e
+            init_points.append(parse_point(complex_to_pair(z), "--init"))
     elif "init_points" in block:
         init_points = [parse_point(s, "irka.init_points")
                        for s in json_list(block["init_points"], "irka.init_points")]
@@ -244,15 +243,9 @@ def cmd_irka(args) -> int:
             rom_mod.save(reduced, args.rom_out)
     dump_json(report, args.out)
     if args.csv:
-        lines = ["iteration,movement,residual,h2_error"]
-        for k in range(conv.iterations):
-            lines.append(",".join([
-                str(k + 1),
-                _fmt(conv.movement_history[k]),
-                _fmt_or_empty(conv.residual_history[k]),
-                _fmt_or_empty(conv.h2_error_history[k]),
-            ]))
-        _write_lines(args.csv, lines)
+        _write_csv(args.csv, ["iteration", "movement", "residual", "h2_error"],
+                   zip(range(1, conv.iterations + 1), conv.movement_history,
+                       conv.residual_history, conv.h2_error_history))
     status = "converged" if conv.converged else "did not converge"
     print(f"irka r={irka_config.r}: {status} after {conv.iterations} iterations")
     return 0 if conv.converged else 1
@@ -274,23 +267,19 @@ def _read_signal_csv(path, grid):
             rows.append([float(tok) for tok in ln.split(",")])
         except ValueError as e:
             raise ParseError(f"{path}: non-numeric entry ({e})") from e
+    for i, row in enumerate(rows):
+        if len(row) != grid.size + 1:
+            raise ParseError(f"{path}: time row {i} has {len(row)} columns, "
+                             f"expected time plus {grid.size} node columns")
     data = np.array(rows)
     if not np.isfinite(data).all():
         i, j = np.argwhere(~np.isfinite(data))[0]
         raise ParseError(f"{path}: column {j} of time row {i} must be finite, got {data[i, j]}")
-    if data.shape[1] != grid.size + 1:
-        raise ParseError(
-            f"{path}: expected time plus {grid.size} node columns, got {data.shape[1]}"
-        )
     t = data[:, 0]
     dt = t[1] - t[0]
     if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * dt:
         raise ParseError(f"{path}: time column must be uniformly spaced")
     return t, float(dt), data[:, 1:]
-
-
-def _node_names(grid):
-    return [f"x{x:.6f}y{y:.6f}" for x, y in grid.nodes]
 
 
 def _write_output_csv(path, t, vals, grid):
@@ -302,10 +291,8 @@ def _write_output_csv(path, t, vals, grid):
             f"{scale:.3e}; the model is not conjugate-symmetric, refusing to "
             "write a real-valued CSV"
         )
-    lines = ["time," + ",".join(_node_names(grid))]
-    for tk, row in zip(t, vals.real):
-        lines.append(",".join([_fmt(tk)] + [_fmt(v) for v in row]))
-    _write_lines(path, lines)
+    _write_csv(path, ["time"] + [f"x{x:.6f}y{y:.6f}" for x, y in grid.nodes],
+               np.column_stack([t, vals.real]))
 
 
 def cmd_simulate(args) -> int:
@@ -395,7 +382,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DatasetError, ValueError, FileNotFoundError) as e:
+    except (ParseError, DatasetError, ValueError, OSError) as e:
         # bad arguments, files or config; keep these distinct from the
         # computational failures below
         print(f"error: {e}", file=sys.stderr)

@@ -162,6 +162,5 @@ def run(full, config: IrkaConfig):
         points, rights, lefts = next_points, next_rights, next_lefts
         if movement < config.point_tol:
             report.converged = True
-            report.best_iteration = it
             return rom, report
     return best, report

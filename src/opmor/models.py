@@ -27,28 +27,19 @@ from .funcspace import QuadratureGrid
 DEFAULT_POLE_TOL = 1e-8
 
 
-def phi1(z):
-    """(e^z - 1)/z, stable for small |z|, complex-safe."""
+def phi12(z):
+    """(phi1(z), phi2(z)) = ((e^z - 1)/z, (e^z - 1 - z)/z^2), each by its
+    Taylor polynomial for |z| < 1e-2, complex-safe."""
     z = np.asarray(z, dtype=np.complex128)
     small = np.abs(z) < 1e-2
-    zs = np.where(small, 0.0, z)
-    out = np.empty_like(z)
-    out[~small] = (np.exp(zs[~small]) - 1.0) / zs[~small]
+    phi1, phi2 = np.empty_like(z), np.empty_like(z)
+    w = z[~small]
+    em1 = np.exp(w) - 1.0
+    phi1[~small], phi2[~small] = em1 / w, (em1 - w) / w**2
     t = z[small]
-    out[small] = 1.0 + t / 2 + t**2 / 6 + t**3 / 24 + t**4 / 120
-    return out
-
-
-def phi2(z):
-    """(e^z - 1 - z)/z^2, stable for small |z|, complex-safe."""
-    z = np.asarray(z, dtype=np.complex128)
-    small = np.abs(z) < 1e-2
-    zs = np.where(small, 0.0, z)
-    out = np.empty_like(z)
-    out[~small] = (np.exp(zs[~small]) - 1.0 - zs[~small]) / zs[~small] ** 2
-    t = z[small]
-    out[small] = 0.5 + t / 6 + t**2 / 24 + t**3 / 120 + t**4 / 720
-    return out
+    phi1[small] = 1.0 + t / 2 + t**2 / 6 + t**3 / 24 + t**4 / 120
+    phi2[small] = 0.5 + t / 6 + t**2 / 24 + t**3 / 120 + t**4 / 720
+    return phi1, phi2
 
 
 def _grams(U, Y, u_grid, y_grid):
@@ -90,7 +81,7 @@ class PoleFactorModel:
         self.poles.setflags(write=False)
         self.pole_tol = float(pole_tol)
 
-    # weight-folded pairing rows, read-only: <f, u_k> = _in_pair[k] @ f.values
+    # weight-folded pairing rows, read-only: <f, u_k> = _in_pair[k] @ f for node values f
     @functools.cached_property
     def _in_pair(self):
         rows = np.conj(self.input_factors) * self.con_grid.weights
@@ -197,8 +188,7 @@ class PoleFactorModel:
         ucoef = np.array([self.pair_con(row) for row in u[: n_steps + 1]])
         z = self.poles * dt
         ez = np.exp(z)
-        c1 = dt * phi1(z)
-        c2 = dt * phi2(z)
+        c1, c2 = (dt * phi for phi in phi12(z))
         x = np.zeros(self.poles.size, dtype=np.complex128)
         out = np.zeros((n_steps + 1, self.obs_grid.size), dtype=np.complex128)
         for k in range(n_steps):

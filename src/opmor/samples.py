@@ -110,24 +110,24 @@ def make_direction(spec, grid: QuadratureGrid):
     """
     if not isinstance(spec, str):
         raise ValueError(f"direction spec must be a string, got {type(spec).__name__}")
-    if spec == "const":
-        vals = np.ones(grid.size, dtype=np.complex128)
-        return vals * (1.0 / row_norms(vals, grid))
     if spec.startswith("mode:"):
         try:
             n, m = (int(v) for v in spec[len("mode:"):].split(","))
         except ValueError as e:
             raise ValueError(f"bad mode direction spec {spec!r}") from e
         return restrict_mode(n, m, grid)
-    if spec.startswith("random:"):
+    if spec == "const":
+        vals = np.ones(grid.size, dtype=np.complex128)
+    elif spec.startswith("random:"):
         try:
             seed = int(spec[len("random:"):])
         except ValueError as e:
             raise ValueError(f"bad random direction spec {spec!r}") from e
         rng = np.random.default_rng(seed)
         vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-        return vals * (1.0 / row_norms(vals, grid))
-    raise ValueError(f"unknown direction spec {spec!r}")
+    else:
+        raise ValueError(f"unknown direction spec {spec!r}")
+    return vals * (1.0 / row_norms(vals, grid))
 
 
 def directions(specs, grid: QuadratureGrid, side: str) -> np.ndarray:
@@ -215,8 +215,8 @@ def collect(model, sigmas, ps, rhos, qs, conjugate_close=False) -> TangentialDat
         for i, j in coincident_pairs(sigmas, rhos, DEFAULT_COINCIDENCE_TOL)
     }
     for i, j in coincident_pairs(sigmas, rhos, NEAR_COINCIDENCE_WARN):
-        sig, rho = complex(sigmas[j]), complex(rhos[i])
-        if abs(sig - rho) >= DEFAULT_COINCIDENCE_TOL:
+        if (i, j) not in hermites:
+            sig, rho = complex(sigmas[j]), complex(rhos[i])
             warnings.warn(
                 f"points sigma_{j}={sig} and rho_{i}={rho} are {abs(sig - rho):.2e} "
                 "apart: nearly coincident data is ill-conditioned",

@@ -296,13 +296,19 @@ def test_criterion_10_reproducible_reports(tmp_path, acceptance_log):
                    "rhos": [1.0, 2.5, [5.0, 1.0], [5.0, -1.0]],
                    "right_dirs": RIGHT_DIRS, "left_dirs": LEFT_DIRS},
     }))
+    # an input signal on the 16 x 16 control nodes, 20 steps of 0.05
+    signal = tmp_path / "u.csv"
+    t = np.arange(21) * 0.05
+    u = np.sin(np.pi * t)[:, None] * np.random.default_rng(3).standard_normal(256)
+    np.savetxt(signal, np.column_stack([t, u]), delimiter=",", fmt="%.17g",
+               header="time," + ",".join(f"u{k}" for k in range(256)), comments="")
 
     def run_once(tag):
         d = tmp_path / tag
         d.mkdir()
         paths = {name: d / name for name in (
             "data.json", "rom.json", "vreport.json", "h2.json", "h2.csv",
-            "irka.json", "irka.csv")}
+            "irka.json", "irka.csv", "irka_rom.json", "y.csv", "y_full.csv")}
         assert main(["sample", "--config", str(cfg), "--out", str(paths["data.json"])]) == 0
         assert main(["reduce", "--config", str(cfg), "--data", str(paths["data.json"]),
                      "--out", str(paths["rom.json"])]) == 0
@@ -311,7 +317,11 @@ def test_criterion_10_reproducible_reports(tmp_path, acceptance_log):
         assert main(["h2", "--config", str(cfg), "--rom", str(paths["rom.json"]),
                      "--out", str(paths["h2.json"]), "--csv", str(paths["h2.csv"])]) == 0
         assert main(["irka", "--config", str(cfg), "--order", "2", "--init", "1,10",
-                     "--out", str(paths["irka.json"]), "--csv", str(paths["irka.csv"])]) == 0
+                     "--out", str(paths["irka.json"]), "--csv", str(paths["irka.csv"]),
+                     "--rom-out", str(paths["irka_rom.json"])]) == 0
+        assert main(["simulate", "--config", str(cfg), "--rom", str(paths["rom.json"]),
+                     "--input", str(signal), "--out", str(paths["y.csv"]),
+                     "--full-out", str(paths["y_full.csv"])]) == 0
         return {name: p.read_bytes() for name, p in paths.items()}
 
     first, second = run_once("a"), run_once("b")
@@ -319,6 +329,6 @@ def test_criterion_10_reproducible_reports(tmp_path, acceptance_log):
     ok = not mismatched
     acceptance_log(
         10, "reproducible reports", ok,
-        "all 7 artifacts byte-identical across repeated runs" if ok
+        f"all {len(first)} artifacts byte-identical across repeated runs" if ok
         else f"artifacts differ: {', '.join(mismatched)}",
     )

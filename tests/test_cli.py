@@ -305,6 +305,15 @@ class TestErrorExits:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_path_is_bad_input(self, tmp_path, capsys, flag):
+        # a directory where the JSON report or the CSV table goes
+        outputs = {"--out": str(tmp_path / "h2.json"), "--csv": str(tmp_path / "h2.csv")}
+        outputs[flag] = str(tmp_path)
+        cfg = write_config(tmp_path / "c.json")
+        assert main(["h2", "--config", cfg, *(a for kv in outputs.items() for a in kv)]) == 2
+        assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, field, value", [
         ("sample", "sigmas", 5), ("sample", "rhos", 2.5), ("sample", "right_dirs", "mode:1,1"),
         ("sample", "left_dirs", {"mode": "1,1"}), ("irka", "init_points", 3.0),
@@ -346,6 +355,13 @@ class TestErrorExits:
         assert main(["irka", "--config", cfg, *args,
                      "--out", str(tmp_path / "x.json")]) == 2
         assert f"{field} must be a finite point" in capsys.readouterr().err
+
+    def test_malformed_init_token_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", irka={"order": 2})
+        out = tmp_path / "x.json"
+        assert main(["irka", "--config", cfg, "--init", "1,abc", "--out", str(out)]) == 2
+        assert "--init[1] must be a real or complex number, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nan_point_tol(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", irka={"order": 2, "point_tol": float("nan")})
@@ -608,6 +624,21 @@ class TestSimulateCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert str(inp) in err and message in err
+        assert not out.exists()
+
+    def test_ragged_signal_row_names_file_and_row(self, pipeline, capsys):
+        n_nodes = MODEL_BLOCK["quad_order"] ** 2
+        inp = pipeline["dir"] / "input.csv"
+        self.write_input(inp, n_nodes)
+        lines = inp.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0]  # time row 3, one column short
+        inp.write_text("\n".join(lines) + "\n")
+        out = pipeline["dir"] / "y.csv"
+        rc = main(["simulate", "--config", pipeline["config"], "--rom", pipeline["rom"],
+                   "--input", str(inp), "--out", str(out)])
+        assert rc == 2
+        assert (f"{inp}: time row 3 has {n_nodes} columns, expected time plus {n_nodes} "
+                "node columns") in capsys.readouterr().err
         assert not out.exists()
 
     def test_unpaired_complex_points_refuse_a_real_csv(self, tmp_path, capsys):

@@ -78,7 +78,7 @@ def heat_rom(heat):
     return assemble(ds)
 
 
-class TestFrequencyQuadrature:
+class TestFrequencyRule:
     def test_minimum_node_count(self):
         with pytest.raises(ValueError, match="64"):
             frequency_rule(32)

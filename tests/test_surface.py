@@ -3,7 +3,8 @@ or tests/ imports a name it never uses, every top-level function and class in
 src/opmor is reached from the package itself, the scripts or the benchmark,
 and src/opmor imports nothing but the standard library, numpy and itself.
 Only jsonio, the file formats' one encoder and decoder, and config, which
-hashes the raw bytes it parses, import json.
+hashes the raw bytes it parses, import json; only jsonio.dump_json and
+cli._write_csv, one writer per output format, open a file for writing.
 A definition that only tests call belongs in tests/ (see tests/oracles.py).
 
 References are read with ast: names, attribute names, imported names and
@@ -115,3 +116,28 @@ def test_only_jsonio_and_config_import_json():
                        if (isinstance(node, ast.Import) and any(a.name == "json" for a in node.names))
                        or (isinstance(node, ast.ImportFrom) and node.module == "json"))
     assert importers == ["config.py", "jsonio.py"]
+
+
+def write_openers(tree):
+    """The name of the innermost function around each call in tree that
+    opens a file for writing: an ``open`` (or ``x.open``) call with a mode
+    string holding w, a, x or +, positional or ``mode=``."""
+    defs = [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "open"
+                                                or getattr(node.func, "attr", None) == "open")):
+            continue
+        modes = [arg.value for arg in node.args + [kw.value for kw in node.keywords
+                                                   if kw.arg == "mode"]
+                 if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                 and re.fullmatch(r"[rwaxbt+]+", arg.value)]
+        if any(set(mode) & set("wax+") for mode in modes):
+            around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+            yield max(around, key=lambda d: d.lineno).name if around else "<module>"
+
+
+def test_one_writer_per_file_format():
+    writers = sorted(f"{path.stem}.{name}" for path in PACKAGE
+                     for name in write_openers(parse(path)))
+    assert writers == ["cli._write_csv", "jsonio.dump_json"]
