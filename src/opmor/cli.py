@@ -12,6 +12,8 @@ Set MOR_LOG=DEBUG|INFO|WARNING|ERROR to control log verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import logging
 import os
 import sys
@@ -55,6 +57,24 @@ def _write_csv(path, header, rows) -> None:
     lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_all(writes) -> None:
+    """Call write(path) for each (path, write) in order, every artifact's
+    contents built beforehand. If one fails, the files the earlier ones
+    created are removed before the error propagates, so a command that
+    fails leaves no new file behind."""
+    created = []
+    try:
+        for path, write in writes:
+            if not os.path.exists(path):
+                created.append(path)
+            write(path)
+    except Exception:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _load_rom(path, model):
@@ -160,12 +180,14 @@ def cmd_h2(args) -> int:
             for pole, el, er, eh
             in zip(opt.poles, opt.eps_left, opt.eps_right, opt.eps_herm)
         ]
-    dump_json(report, args.out)
+    writes = [(args.out, functools.partial(dump_json, report))]
     if args.csv:
         forms = [model] + ([rom_mod.pole_residue(rom)] if rom is not None else [])
-        _write_csv(args.csv, ["omega", "hs_full", "hs_rom"][: len(forms) + 1],
-                   [[w] + [hs_norm(f, 1j * w) for f in forms]
-                    for w in frequency_rule(DEFAULT_NODES)[0]])
+        header = ["omega", "hs_full", "hs_rom"][: len(forms) + 1]
+        rows = [[w] + [hs_norm(f, 1j * w) for f in forms]
+                for w in frequency_rule(DEFAULT_NODES)[0]]
+        writes.append((args.csv, functools.partial(_write_csv, header=header, rows=rows)))
+    _write_all(writes)
     print(f"h2 norm closed {norms.closed:.6e}, quadrature {norms.quadrature:.6e}"
           + (f", error^2 {report['h2_error']:.6e}" if rom is not None else ""))
     return 0
@@ -230,6 +252,7 @@ def cmd_irka(args) -> int:
         "h2_error_history": _clean(conv.h2_error_history),
         "final": None,
     })
+    writes = []
     if reduced is not None:
         # the histories already hold the certificate of the returned iterate
         best = conv.best_iteration - 1
@@ -240,12 +263,14 @@ def cmd_irka(args) -> int:
         }
         if args.rom_out:
             reduced.provenance.update(_report_base(cfg))
-            rom_mod.save(reduced, args.rom_out)
-    dump_json(report, args.out)
+            writes.append((args.rom_out, functools.partial(rom_mod.save, reduced)))
+    writes.append((args.out, functools.partial(dump_json, report)))
     if args.csv:
-        _write_csv(args.csv, ["iteration", "movement", "residual", "h2_error"],
-                   zip(range(1, conv.iterations + 1), conv.movement_history,
-                       conv.residual_history, conv.h2_error_history))
+        rows = list(zip(range(1, conv.iterations + 1), conv.movement_history,
+                        conv.residual_history, conv.h2_error_history))
+        writes.append((args.csv, functools.partial(
+            _write_csv, header=["iteration", "movement", "residual", "h2_error"], rows=rows)))
+    _write_all(writes)
     status = "converged" if conv.converged else "did not converge"
     print(f"irka r={irka_config.r}: {status} after {conv.iterations} iterations")
     return 0 if conv.converged else 1
@@ -282,7 +307,9 @@ def _read_signal_csv(path, grid):
     return t, float(dt), data[:, 1:]
 
 
-def _write_output_csv(path, t, vals, grid):
+def _output_table(t, vals, grid):
+    """(header, rows) of a simulated output CSV; a ReductionError unless
+    vals is real up to round-off."""
     scale = np.max(np.abs(vals)) or 1.0
     worst = np.max(np.abs(vals.imag))
     if worst > IMAG_RESIDUE_RTOL * scale:
@@ -291,8 +318,8 @@ def _write_output_csv(path, t, vals, grid):
             f"{scale:.3e}; the model is not conjugate-symmetric, refusing to "
             "write a real-valued CSV"
         )
-    _write_csv(path, ["time"] + [f"x{x:.6f}y{y:.6f}" for x, y in grid.nodes],
-               np.column_stack([t, vals.real]))
+    return (["time"] + [f"x{x:.6f}y{y:.6f}" for x, y in grid.nodes],
+            np.column_stack([t, vals.real]))
 
 
 def cmd_simulate(args) -> int:
@@ -302,11 +329,13 @@ def cmd_simulate(args) -> int:
     t, dt, u = _read_signal_csv(args.input, model.con_grid)
     horizon = positive_float(args.T, "--T") if args.T is not None else float(t[-1])
     n_steps = int(round(horizon / dt))
-    y_rom = rom_mod.simulate(rom, u, horizon, dt)
-    _write_output_csv(args.out, t[: n_steps + 1], y_rom, rom.y_grid)
+    t = t[: n_steps + 1]
+    tables = [(args.out, _output_table(t, rom_mod.simulate(rom, u, horizon, dt), rom.y_grid))]
     if args.full_out:
-        y_full = model.simulate(u, horizon, dt)
-        _write_output_csv(args.full_out, t[: n_steps + 1], y_full, model.obs_grid)
+        tables.append((args.full_out,
+                       _output_table(t, model.simulate(u, horizon, dt), model.obs_grid)))
+    _write_all([(path, functools.partial(_write_csv, header=header, rows=rows))
+                for path, (header, rows) in tables])
     print(f"simulated {n_steps} steps of dt={dt:g} -> {args.out}")
     return 0
 

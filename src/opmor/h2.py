@@ -3,14 +3,19 @@ tangential optimality residuals.
 
 Every routine works on a pole-factor sum G(s) = sum_k <., u_k> y_k /
 (s - lam_k): the norms take pole-factor models, and h2_error and
-optimality_residuals take a reduced model's pole-residue form once. Each
+optimality_residuals read a reduced model's pole-residue form, which the
+model computes once and shares with every caller. Each
 model computes its own squared norms: hs_sq(s), the Hilbert-Schmidt norm at
 s, and h2_sq, the closed double series over pole pairs, which a pole-factor
 model contracts with its factor Grams and the heat model with its 1-D Grams.
 The H2 inner product with <., p> q / (s - lam) is one transfer evaluation
 at the mirror point -conj(lam), which gives the H2 error and the optimality
-conditions. The frequency rule (two arrays) is the independent cross-check;
-h2_error_quadrature solves with the reduced pencil instead.
+conditions. The optimality residuals evaluate the reduced model at each
+mirror point through one pencil SVD, which the transfer, adjoint and
+derivative evaluations there share. The frequency rule (two arrays) is the
+independent cross-check: h2_error_quadrature solves with the reduced pencil
+instead, and factors each of its nodes itself, without keeping the factors
+on the model.
 """
 
 from __future__ import annotations
@@ -194,7 +199,9 @@ def h2_error_quadrature(full, rom: ReducedModel) -> float:
     from the SVD that also checks the pencil there, so the difference is
     never formed as a dense operator. The quadrature doubles its nodes
     until stable. Stability is read from the eigenvalues of the pencil, not
-    from the pole-residue form this oracle cross-checks.
+    from the pole-residue form this oracle cross-checks, and each node is
+    factored afresh: the oracle neither reads nor adds to the pencil factors
+    the model keeps.
     """
     _require_stable(full.poles)
     _require_stable(np.linalg.eigvals(np.linalg.solve(rom.E, rom.A)))
@@ -208,7 +215,7 @@ def h2_error_quadrature(full, rom: ReducedModel) -> float:
         total = scale = 0.0
         for w, wt in zip(omegas, weights):
             s = 1j * w
-            U, sv, Vh = rom._pencil(s)
+            U, sv, Vh = rom._factor(s)
             K = (Vh.conj().T / sv) @ U.conj().T
             alpha = 1.0 / (s - lam)
             cross = np.conj(alpha) @ np.sum((GYc @ K) * GUb, axis=1)
@@ -239,7 +246,7 @@ class OptimalityReport:
         return float(max(self.eps_left.max(), self.eps_right.max(), self.eps_herm.max()))
 
 
-def _rel_gap(got, want, grid) -> float:
+def _rel_gap(got, want, grid):
     return row_norms(got - want, grid) / row_norms(want, grid)
 
 
@@ -248,12 +255,13 @@ def interpolation_residuals(rom: ReducedModel, dataset: TangentialDataset):
     interpolate, each normalized by the data's magnitude; only rom is
     evaluated. Returns three arrays: the transfer values at (sigma_j, p_j),
     the adjoint values at (rho_i, q_i) and the Hermite scalars, in sorted
-    (i, j) key order."""
+    (i, j) key order. The gaps of the stacked value rows are those of each
+    row alone, bit for bit."""
     P, Q, u_grid, y_grid = dataset.P, dataset.Q, dataset.u_grid, dataset.y_grid
-    right = np.array([_rel_gap(rom.eval_tf(s, p), v, y_grid)
-                      for s, p, v in zip(dataset.sigmas, P, dataset.right_values)])
-    left = np.array([_rel_gap(rom.eval_tf_adjoint(t, q), v, u_grid)
-                     for t, q, v in zip(dataset.rhos, Q, dataset.left_values)])
+    right = _rel_gap(np.array([rom.eval_tf(s, p) for s, p in zip(dataset.sigmas, P)]),
+                     dataset.right_values, y_grid)
+    left = _rel_gap(np.array([rom.eval_tf_adjoint(t, q) for t, q in zip(dataset.rhos, Q)]),
+                    dataset.left_values, u_grid)
     herm = np.array([abs(inner_product(rom.eval_tf_derivative(dataset.sigmas[j], P[j]), Q[i],
                                        y_grid) - dataset.hermites[i, j])
                      / abs(dataset.hermites[i, j])

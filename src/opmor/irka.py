@@ -19,6 +19,11 @@ conjugate pole pairs, so point sets and directions stay closed unsnapped.
 
 No convergence theory is claimed: non-convergent runs return the best
 (least-moving) iterate flagged converged=False rather than raising.
+
+Each sweep's certificate (optimality residuals and H2 error) reuses the
+pole-residue form step computed for the iterate, and the optimality
+residuals factor its pencil once at each of the r mirror points. An
+iterate's provenance gets its dataset hash only when run returns it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from .errors import ReductionError
 from .funcspace import row_norms
 from .h2 import h2_error, optimality_residuals
-from .loewner import assemble
+from .loewner import assemble, record_hash
 from .rom import ReducedModel, pole_residue
 from .samples import collect, directions
 
@@ -83,11 +88,11 @@ def step(full, points, right_dirs, left_dirs):
     model assembly, and mirror-point/residue-direction extraction.
 
     Returns (rom, next_points, next_right_dirs, next_left_dirs), the
-    directions as stacked node-value rows. Unstable reduced poles are
-    reflected into the left half-plane before mirroring, which re-targets
-    the point itself.
+    directions as stacked node-value rows; the rom's provenance waits for
+    loewner.record_hash. Unstable reduced poles are reflected into the left
+    half-plane before mirroring, which re-targets the point itself.
     """
-    rom = assemble(collect(full, points, right_dirs, points, left_dirs))
+    rom = assemble(collect(full, points, right_dirs, points, left_dirs), hashed=False)
     pr = pole_residue(rom)
     poles = pr.poles.copy()
     unstable = poles.real >= 0
@@ -125,7 +130,8 @@ def run(full, config: IrkaConfig):
 
     Returns (rom, ConvergenceReport); on non-convergence the rom is the
     iterate with the smallest movement and converged is False (max_iter = 0
-    returns rom None). Deterministic for a fixed config.
+    returns rom None). The returned rom's provenance records its dataset
+    hash. Deterministic for a fixed config.
     """
     config.validate()
     given = (config.init_points, config.init_right_dirs, config.init_left_dirs)
@@ -162,5 +168,7 @@ def run(full, config: IrkaConfig):
         points, rights, lefts = next_points, next_rights, next_lefts
         if movement < config.point_tol:
             report.converged = True
-            return rom, report
+            break
+    if best is not None:
+        record_hash(best)
     return best, report

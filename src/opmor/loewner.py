@@ -67,13 +67,15 @@ def dataset_hash(dataset: TangentialDataset) -> str:
     return digest.hexdigest()
 
 
-def assemble(dataset: TangentialDataset) -> ReducedModel:
+def assemble(dataset: TangentialDataset, hashed: bool = True) -> ReducedModel:
     """Build the interpolatory reduced model from a tangential dataset.
 
     The ReducedModel constructor rejects an E whose condition estimate
     exceeds rom.COND_LIMIT; assembly warns above COND_WARN. Provenance
     records the dataset hash and the model its tangential data, so a saved
-    model can be re-validated against a model config alone.
+    model can be re-validated against a model config alone. With hashed
+    False the hash waits for record_hash: a caller that discards most of
+    the models it assembles (irka.run) hashes only the one it returns.
     """
     dataset.validate()
     rom = interpolant(*_matrices(dataset), dataset.left_values, dataset.right_values,
@@ -88,9 +90,17 @@ def assemble(dataset: TangentialDataset) -> ReducedModel:
     rom.provenance = {
         "kind": "loewner",
         "tool_version": __version__,
-        "dataset_sha256": dataset_hash(dataset),
         "coincidence_tol": dataset.coincidence_tol,
         "cond_E": rom.e_cond,
     }
+    if hashed:
+        rom.provenance["dataset_sha256"] = dataset_hash(dataset)
+    else:
+        rom._unhashed = dataset
     return rom
 
+
+def record_hash(rom: ReducedModel) -> None:
+    """Record in the provenance of a model assembled with hashed False the
+    hash of its dataset, which the model holds until then."""
+    rom.provenance["dataset_sha256"] = dataset_hash(vars(rom).pop("_unhashed"))

@@ -4,13 +4,16 @@ same function spaces as the full model.
 A ReducedModel is the tuple (E, A, B, C): the input map sends p to the
 vector of pairings <p, b_i>_U with the rows b_i of B, the pencil solve
 applies (sE - A)^{-1}, and the output map combines the rows c_j of C.
-A point evaluation (interpolation checks) factors sE - A once by SVD: the
-smallest singular value decides whether s is a pole, and the same factors
-apply the inverse, its adjoint, or the inverse twice with E in between for
-the derivative. The pole-residue decomposition turns the pencil into r
-scalar poles with tangential directions as a models.PoleFactorModel; the
-IRKA update, the closed-form H2 quantities (stability included) and exact
-time stepping use that form. Both interpolatory constructions build their
+A point evaluation (interpolation checks) factors sE - A by SVD once per
+point and model: the smallest singular value decides whether s is a pole,
+and the same kept factors apply the inverse, its adjoint, or the inverse
+twice with E in between for the derivative, whichever kind is evaluated
+there and however often. The frequency quadrature of h2 factors its many
+nodes through the unkept ReducedModel._factor instead. The pole-residue
+decomposition turns the pencil into r scalar poles with tangential
+directions as a models.PoleFactorModel, computed once per model; the IRKA
+update, the closed-form H2 quantities (stability included) and exact time
+stepping use that form. Both interpolatory constructions build their
 model through interpolant, which realizes conjugate-closed data in real form.
 A real pencil is diagonalized in real arithmetic, so its poles come in
 bitwise-conjugate pairs; with real ports too, each pair's residues are set
@@ -65,7 +68,9 @@ class ReducedModel:
     P, rhos, Q), directions as rows on the port grids, the same tuple
     projection.build_bases returns; only ``save`` and ``load`` encode it.
     ``e_cond`` is cond(E); the constructor raises ConditioningError when it
-    is not finite or above COND_LIMIT.
+    is not finite or above COND_LIMIT. The matrices are read-only, so the
+    pencil factors of each evaluated point and the pole-residue form are
+    computed once and kept with the model.
     """
 
     def __init__(self, E, A, B, C, u_grid, y_grid, provenance=None, data=None):
@@ -107,9 +112,11 @@ class ReducedModel:
         self._a_norm = float(np.linalg.norm(A, 2))
         for arr in (self.E, self.A, self.B, self.C, self._b_pair, self._c_pair):
             arr.setflags(write=False)
+        self._factors = {}        # point -> SVD factors of its pencil
+        self._pole_residue = None
 
-    def _pencil(self, s):
-        """SVD factors (U, sv, Vh) of s*E - A, which every point evaluation
+    def _factor(self, s):
+        """SVD factors (U, sv, Vh) of s*E - A, which a point evaluation
         applies in place of a solve; raises SingularSolveError when the
         smallest singular value is below SOLVE_RTOL times the pencil scale."""
         s = complex(s)
@@ -121,6 +128,17 @@ class ReducedModel:
                 f"(smallest singular value {sv[-1]:.2e} vs scale {scale:.2e})"
             )
         return U, sv, Vh
+
+    def _pencil(self, s):
+        """_factor(s), read-only, computed on the first evaluation at s and
+        kept for every later one."""
+        s = complex(s)
+        factors = self._factors.get(s)
+        if factors is None:
+            factors = self._factors[s] = self._factor(s)
+            for arr in factors:
+                arr.setflags(write=False)
+        return factors
 
     def eval_tf(self, s, p):
         """G_r(s)[p] = C_r (sE - A)^{-1} B_r[p], rows on u_grid to y_grid."""
@@ -169,8 +187,16 @@ def pole_residue(rom: ReducedModel) -> PoleFactorModel:
     |pole|, so evaluating at a reduced pole raises PoleProximityError where
     the pencil solve would raise SingularSolveError. Raises
     SemiSimplicityError when eigenvalues cluster tighter than the
-    separation tolerance.
+    separation tolerance; that error is not kept, so every call repeats it.
+    The form is computed on the first call for a model, and every later call
+    returns the same object.
     """
+    if rom._pole_residue is None:
+        rom._pole_residue = _diagonalize(rom)
+    return rom._pole_residue
+
+
+def _diagonalize(rom: ReducedModel) -> PoleFactorModel:
     real = not (rom.E.imag.any() or rom.A.imag.any())
     E, A = (rom.E.real, rom.A.real) if real else (rom.E, rom.A)
     vals, X = np.linalg.eig(np.linalg.solve(E, A))

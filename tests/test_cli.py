@@ -314,6 +314,29 @@ class TestErrorExits:
         assert main(["h2", "--config", cfg, *(a for kv in outputs.items() for a in kv)]) == 2
         assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["h2", "irka", "simulate"])
+    def test_unwritable_output_leaves_no_new_file(self, pipeline, capsys, command):
+        # the last output path is a directory: the command exits 2, and the
+        # outputs it could write before that one are not left behind
+        d = pipeline["dir"]
+        n_nodes = MODEL_BLOCK["quad_order"] ** 2
+        np.savetxt(d / "u.csv", np.column_stack([[0.0, 0.1, 0.2], np.zeros((3, n_nodes))]),
+                   delimiter=",", header="time," + ",".join(f"u{k}" for k in range(n_nodes)),
+                   comments="")
+        base = ["--config", pipeline["config"]]
+        argv = {
+            "h2": ["h2", *base, "--rom", pipeline["rom"], "--out", str(d / "h2.json"), "--csv"],
+            "irka": ["irka", *base, "--order", "2", "--init", "1,10", "--max-iter", "2",
+                     "--rom-out", str(d / "irka_rom.json"), "--out", str(d / "irka.json"),
+                     "--csv"],
+            "simulate": ["simulate", *base, "--rom", pipeline["rom"], "--input", str(d / "u.csv"),
+                         "--out", str(d / "y.csv"), "--full-out"],
+        }[command]
+        before = sorted(d.iterdir())
+        assert main([*argv, str(d)]) == 2
+        assert f"Is a directory: '{d}'" in capsys.readouterr().err
+        assert sorted(d.iterdir()) == before
+
     @pytest.mark.parametrize("command, field, value", [
         ("sample", "sigmas", 5), ("sample", "rhos", 2.5), ("sample", "right_dirs", "mode:1,1"),
         ("sample", "left_dirs", {"mode": "1,1"}), ("irka", "init_points", 3.0),

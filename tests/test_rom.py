@@ -162,11 +162,30 @@ def spy_linalg(monkeypatch):
 class TestOneFactorization:
     @pytest.mark.parametrize("method", ["eval_tf", "eval_tf_adjoint", "eval_tf_derivative"])
     def test_one_svd_per_point_evaluation(self, heat_rom, method, monkeypatch):
-        grid = heat_rom.y_grid if method == "eval_tf_adjoint" else heat_rom.u_grid
+        # the pencil factors of a point are kept with the model: the first
+        # evaluation there, of kind `method`, makes one SVD, and a repeated
+        # point of any kind makes none, with values bitwise equal to a fresh
+        # model's
+        assert pole_residue(heat_rom) is pole_residue(heat_rom)
+
+        def fresh():
+            return ReducedModel(heat_rom.E, heat_rom.A, heat_rom.B, heat_rom.C,
+                                heat_rom.u_grid, heat_rom.y_grid)
+
+        grids = {"eval_tf": heat_rom.u_grid, "eval_tf_adjoint": heat_rom.y_grid,
+                 "eval_tf_derivative": heat_rom.u_grid}
+        kinds = [method] + [m for m in grids if m != method]
+        points = [0.5, 4.0 + 3.0j, 20.0]
+        refs = {(m, k): getattr(fresh(), m)(s, random_row(grids[m], k))
+                for k, s in enumerate(points) for m in kinds}
+        rom = fresh()
         calls = spy_linalg(monkeypatch)
-        for k, s in enumerate([0.5, 4.0 + 3.0j, 20.0]):
-            getattr(heat_rom, method)(s, random_row(grid, k))
-            assert calls == [(heat_rom.r, heat_rom.r)] * (k + 1)
+        for k, s in enumerate(points):
+            for m in kinds:
+                for _ in range(2):
+                    got = getattr(rom, m)(s, random_row(grids[m], k))
+                    assert calls == [(rom.r, rom.r)] * (k + 1)
+                    assert np.array_equal(got, refs[m, k])
 
     def test_h2_quadrature_one_svd_per_node(self, heat, heat_rom, monkeypatch):
         # the stability check makes the one solve, against E for the
@@ -184,6 +203,13 @@ class TestOneFactorization:
         assert h2.h2_error_quadrature(heat, heat_rom) > 0
         assert len(nodes) >= 2 and len(calls) == sum(nodes)
         assert solves == [(heat_rom.r, heat_rom.r)]
+
+    def test_h2_quadrature_keeps_no_factors(self, heat, heat_rom):
+        # the oracle factors its nodes itself; the model keeps only the
+        # points its callers evaluate
+        kept = dict(heat_rom._factors)
+        assert h2.h2_error_quadrature(heat, heat_rom) > 0
+        assert heat_rom._factors.keys() == kept.keys()
 
 
 class TestPoleResidue:
