@@ -37,7 +37,7 @@ from .h2 import (
 from .irka import IrkaConfig
 from .irka import run as irka_run
 from .jsonio import complex_to_pair, dump_json, integer, json_list, positive_float
-from .loewner import assemble
+from .loewner import assemble, dataset_hash
 
 log = logging.getLogger("opmor")
 
@@ -114,8 +114,9 @@ def cmd_sample(args) -> int:
 
 def cmd_reduce(args) -> int:
     cfg = load_run_config(args.config)
-    rom = assemble(samples.load(args.data))
-    rom.provenance.update(_report_base(cfg))
+    dataset = samples.load(args.data)
+    rom = assemble(dataset)
+    rom.provenance.update(_report_base(cfg), dataset_sha256=dataset_hash(dataset))
     rom_mod.save(rom, args.out)
     print(f"assembled r={rom.r} reduced model (cond E = {rom.provenance['cond_E']:.3e}) "
           f"-> {args.out}")

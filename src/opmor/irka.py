@@ -20,10 +20,10 @@ conjugate pole pairs, so point sets and directions stay closed unsnapped.
 No convergence theory is claimed: non-convergent runs return the best
 (least-moving) iterate flagged converged=False rather than raising.
 
-Each sweep's certificate (optimality residuals and H2 error) reuses the
-pole-residue form step computed for the iterate, and the optimality
-residuals factor its pencil once at each of the r mirror points. An
-iterate's provenance gets its dataset hash only when run returns it.
+A sweep (step) returns the model, the dataset it interpolates and the next
+state. Its certificate (optimality residuals and H2 error) reuses the
+pole-residue form step computed, with the pencil factored once at each of
+the r mirror points. run hashes the returned iterate's dataset alone.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ import numpy as np
 from .errors import ReductionError
 from .funcspace import row_norms
 from .h2 import h2_error, optimality_residuals
-from .loewner import assemble, record_hash
-from .rom import ReducedModel, pole_residue
+from .loewner import assemble, dataset_hash
+from .rom import pole_residue
 from .samples import collect, directions
 
 
-@dataclass
+@dataclass(frozen=True)
 class IrkaConfig:
     r: int
     init_points: list | None = None        # None: log-spaced over [1, 10 |slowest pole|]
@@ -49,7 +49,7 @@ class IrkaConfig:
     max_iter: int = 50
     point_tol: float = 1e-8
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"order must be at least 1, got {self.r}")
         if not 0 < self.point_tol < np.inf:
@@ -87,19 +87,20 @@ def step(full, points, right_dirs, left_dirs):
     """One interpolation sweep: Hermite data at the given points, reduced
     model assembly, and mirror-point/residue-direction extraction.
 
-    Returns (rom, next_points, next_right_dirs, next_left_dirs), the
-    directions as stacked node-value rows; the rom's provenance waits for
-    loewner.record_hash. Unstable reduced poles are reflected into the left
-    half-plane before mirroring, which re-targets the point itself.
+    Returns (rom, dataset, next_points, next_right_dirs, next_left_dirs),
+    the directions as stacked node-value rows; the rom records no dataset
+    hash. Unstable reduced poles are reflected into the left half-plane
+    before mirroring, which re-targets the point itself.
     """
-    rom = assemble(collect(full, points, right_dirs, points, left_dirs), hashed=False)
+    dataset = collect(full, points, right_dirs, points, left_dirs)
+    rom = assemble(dataset)
     pr = pole_residue(rom)
     poles = pr.poles.copy()
     unstable = poles.real >= 0
     poles[unstable] = -np.conj(poles[unstable])
     mirrors = -np.conj(poles)
-    return (rom, [complex(s) for s in mirrors], _fix_phase(pr.input_factors, rom.u_grid),
-            _fix_phase(pr.output_factors, rom.y_grid))
+    return (rom, dataset, [complex(s) for s in mirrors],
+            _fix_phase(pr.input_factors, rom.u_grid), _fix_phase(pr.output_factors, rom.y_grid))
 
 
 def _matched_movement(old, new) -> float:
@@ -130,10 +131,9 @@ def run(full, config: IrkaConfig):
 
     Returns (rom, ConvergenceReport); on non-convergence the rom is the
     iterate with the smallest movement and converged is False (max_iter = 0
-    returns rom None). The returned rom's provenance records its dataset
-    hash. Deterministic for a fixed config.
+    returns rom None). The returned rom's provenance records the hash of
+    its dataset. Deterministic for a fixed config.
     """
-    config.validate()
     given = (config.init_points, config.init_right_dirs, config.init_left_dirs)
     defaults = _default_init(full, config.r) if any(g is None for g in given) else given
     points, rights, lefts = (d if g is None else g for g, d in zip(given, defaults))
@@ -144,11 +144,11 @@ def run(full, config: IrkaConfig):
         raise ValueError("direction lists must match the order")
 
     report = ConvergenceReport(converged=False, iterations=0)
-    best: ReducedModel | None = None
+    best = best_dataset = None
     best_movement = np.inf
     for it in range(1, config.max_iter + 1):
         try:
-            rom, next_points, next_rights, next_lefts = step(full, points, rights, lefts)
+            rom, dataset, next_points, next_rights, next_lefts = step(full, points, rights, lefts)
         except ReductionError as e:
             e.args = (f"iteration {it}: {e.args[0]}",) + e.args[1:]
             raise
@@ -164,11 +164,11 @@ def run(full, config: IrkaConfig):
             report.residual_history.append(float("nan"))
             report.h2_error_history.append(float("nan"))
         if movement < best_movement:
-            best, best_movement, report.best_iteration = rom, movement, it
+            best, best_dataset, best_movement, report.best_iteration = rom, dataset, movement, it
         points, rights, lefts = next_points, next_rights, next_lefts
         if movement < config.point_tol:
             report.converged = True
             break
     if best is not None:
-        record_hash(best)
+        best.provenance["dataset_sha256"] = dataset_hash(best_dataset)
     return best, report

@@ -17,7 +17,8 @@ right sample values, so the assembled model interpolates the data by
 construction. Data conjugate-closed on both sides give the equivalent real
 realization (rom.interpolant), where a pair's input rows and output columns
 are sqrt(2) times the real and imaginary parts of its first sample. No model
-evaluations happen here; the dataset is the only input.
+evaluations happen here; the dataset is the only input. assemble records no
+dataset_hash: the callers that keep a model (cli reduce, irka.run) do.
 """
 
 from __future__ import annotations
@@ -67,15 +68,14 @@ def dataset_hash(dataset: TangentialDataset) -> str:
     return digest.hexdigest()
 
 
-def assemble(dataset: TangentialDataset, hashed: bool = True) -> ReducedModel:
+def assemble(dataset: TangentialDataset) -> ReducedModel:
     """Build the interpolatory reduced model from a tangential dataset.
 
     The ReducedModel constructor rejects an E whose condition estimate
-    exceeds rom.COND_LIMIT; assembly warns above COND_WARN. Provenance
-    records the dataset hash and the model its tangential data, so a saved
-    model can be re-validated against a model config alone. With hashed
-    False the hash waits for record_hash: a caller that discards most of
-    the models it assembles (irka.run) hashes only the one it returns.
+    exceeds rom.COND_LIMIT; assembly warns above COND_WARN. The model keeps
+    its tangential data, so a saved model can be re-validated against a
+    model config alone. Assembly records no dataset hash: a caller that
+    keeps the model records dataset_hash(dataset) in its provenance.
     """
     dataset.validate()
     rom = interpolant(*_matrices(dataset), dataset.left_values, dataset.right_values,
@@ -93,14 +93,4 @@ def assemble(dataset: TangentialDataset, hashed: bool = True) -> ReducedModel:
         "coincidence_tol": dataset.coincidence_tol,
         "cond_E": rom.e_cond,
     }
-    if hashed:
-        rom.provenance["dataset_sha256"] = dataset_hash(dataset)
-    else:
-        rom._unhashed = dataset
     return rom
-
-
-def record_hash(rom: ReducedModel) -> None:
-    """Record in the provenance of a model assembled with hashed False the
-    hash of its dataset, which the model holds until then."""
-    rom.provenance["dataset_sha256"] = dataset_hash(vars(rom).pop("_unhashed"))

@@ -3,21 +3,21 @@ same function spaces as the full model.
 
 A ReducedModel is the tuple (E, A, B, C): the input map sends p to the
 vector of pairings <p, b_i>_U with the rows b_i of B, the pencil solve
-applies (sE - A)^{-1}, and the output map combines the rows c_j of C.
-A point evaluation (interpolation checks) factors sE - A by SVD once per
-point and model: the smallest singular value decides whether s is a pole,
-and the same kept factors apply the inverse, its adjoint, or the inverse
-twice with E in between for the derivative, whichever kind is evaluated
-there and however often. The frequency quadrature of h2 factors its many
-nodes through the unkept ReducedModel._factor instead. The pole-residue
-decomposition turns the pencil into r scalar poles with tangential
-directions as a models.PoleFactorModel, computed once per model; the IRKA
-update, the closed-form H2 quantities (stability included) and exact time
-stepping use that form. Both interpolatory constructions build their
-model through interpolant, which realizes conjugate-closed data in real form.
-A real pencil is diagonalized in real arithmetic, so its poles come in
-bitwise-conjugate pairs; with real ports too, each pair's residues are set
-pairwise to exact conjugates, and a real pole's residues are real.
+applies (sE - A)^{-1}, and the output map combines the rows c_j of C. A
+point evaluation (interpolation checks) factors sE - A by SVD once per point
+and model, keeping the last 2r points: the smallest singular value decides
+whether s is a pole, and the same kept factors apply the inverse, its
+adjoint, or the inverse twice with E in between for the derivative,
+whichever kind is evaluated there and however often. h2's frequency
+quadrature factors its many nodes through the unkept ReducedModel._factor
+instead. The pole-residue decomposition turns the pencil into r scalar poles
+with tangential directions as a models.PoleFactorModel, computed once per
+model; the IRKA update, the closed-form H2 quantities (stability included)
+and exact time stepping use that form. Both interpolatory constructions
+build their model through interpolant, which realizes conjugate-closed data
+in real form. A real pencil is diagonalized in real arithmetic, so its poles
+come in bitwise-conjugate pairs; with real ports too, each pair's residues
+are set pairwise to exact conjugates, and a real pole's residues are real.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ class ReducedModel:
     projection.build_bases returns; only ``save`` and ``load`` encode it.
     ``e_cond`` is cond(E); the constructor raises ConditioningError when it
     is not finite or above COND_LIMIT. The matrices are read-only, so the
-    pencil factors of each evaluated point and the pole-residue form are
-    computed once and kept with the model.
+    pole-residue form and the pencil factors of the last 2r evaluated points
+    are computed once and kept with the model.
     """
 
     def __init__(self, E, A, B, C, u_grid, y_grid, provenance=None, data=None):
@@ -131,10 +131,12 @@ class ReducedModel:
 
     def _pencil(self, s):
         """_factor(s), read-only, computed on the first evaluation at s and
-        kept for every later one."""
+        kept for later ones; the oldest of 2r kept points goes first."""
         s = complex(s)
         factors = self._factors.get(s)
         if factors is None:
+            if len(self._factors) >= 2 * self.r:  # a square dataset's most points
+                del self._factors[next(iter(self._factors))]
             factors = self._factors[s] = self._factor(s)
             for arr in factors:
                 arr.setflags(write=False)

@@ -1,9 +1,11 @@
 """Reference systems and checks that only the tests use.
 
 ``RankOneModel`` is the analytic rank-1 system whose reduction is exactly
-recoverable at order one (criterion 8). ``projector_check`` tests the skew
-projector of an explicit Petrov-Galerkin basis pair numerically (criterion
-4). Neither is on any command's path, so they live beside their callers.
+recoverable at order one (criterion 8); ``random_pole_factor_model`` draws
+the degree-r systems that the data-driven realization recovers exactly.
+``projector_check`` tests the skew projector of an explicit Petrov-Galerkin
+basis pair numerically (criterion 4). None is on any command's path, so
+they live beside their callers.
 """
 
 from dataclasses import dataclass
@@ -33,6 +35,21 @@ class RankOneModel(PoleFactorModel):
         super().__init__(u_grid, y_grid, [pole], p[np.newaxis, :], q[np.newaxis, :])
         self.p = p
         self.q = q
+
+
+def random_pole_factor_model(rng, r, u_grid, y_grid) -> PoleFactorModel:
+    """A stable real system of even degree r: r/2 conjugate pole pairs with
+    Re lam uniform in [-50, -0.5] and Im lam uniform in [1, 30], and complex
+    Gaussian factor rows, closed under conjugation with their poles."""
+    half = r // 2
+    lam = rng.uniform(-50.0, -0.5, half) + 1j * rng.uniform(1.0, 30.0, half)
+
+    def rows(grid):
+        z = rng.standard_normal((half, grid.size)) + 1j * rng.standard_normal((half, grid.size))
+        return np.concatenate((z, np.conj(z)))
+
+    return PoleFactorModel(u_grid, y_grid, np.concatenate((lam, np.conj(lam))),
+                           rows(u_grid), rows(y_grid))
 
 
 @dataclass

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opmor import __version__
+from opmor import __version__, rom as rom_mod, samples
 from opmor.cli import main
+from opmor.config import build_model
+from opmor.loewner import dataset_hash
 from opmor.models import PoleFactorModel
 
 # n_modes 6 keeps the sampled ROM stable so the h2 subcommand has a
@@ -68,6 +70,11 @@ class TestPipeline:
         assert report["tool_version"] == __version__
         rom = json.loads(Path(pipeline["rom"]).read_text())
         assert rom["provenance"]["config_sha256"] == report["config_sha256"]
+
+    def test_reduce_records_the_loaded_dataset_hash(self, pipeline):
+        rom = json.loads(Path(pipeline["rom"]).read_text())
+        want = dataset_hash(samples.load(pipeline["data"]))
+        assert rom["provenance"]["dataset_sha256"] == want
 
     def test_corrupted_entry_fails_validation(self, pipeline, capsys):
         rom = json.loads(Path(pipeline["rom"]).read_text())
@@ -564,6 +571,16 @@ class TestIrkaCommand:
         report = json.loads(out.read_text())
         assert report["converged"] is False
         assert report["iterations"] == 2
+
+    def test_saved_model_records_its_dataset_hash(self, tmp_path, config):
+        # the hash is of the returned iterate's dataset: sampling the full
+        # model again at the saved tangential data reproduces it
+        rom_out = tmp_path / "irka_rom.json"
+        main(["irka", "--config", config, "--order", "2", "--init", "1,10",
+              "--out", str(tmp_path / "irka.json"), "--rom-out", str(rom_out)])
+        rom = rom_mod.load(rom_out)
+        ds = samples.collect(build_model(MODEL_BLOCK), *rom.data)
+        assert rom.provenance["dataset_sha256"] == dataset_hash(ds)
 
     def test_order_required(self, tmp_path, config):
         rc = main(["irka", "--config", config, "--out", str(tmp_path / "x.json")])

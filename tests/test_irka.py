@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from opmor import h2, irka, loewner
+from opmor import h2, irka
 from opmor.errors import ConditioningError, PoleProximityError
 from opmor.funcspace import Patch, QuadratureGrid, row_norms
 from opmor.h2 import h2_error, optimality_residuals
@@ -81,11 +81,15 @@ class TestStep:
     def test_exact_recovery_is_a_fixed_point(self, toy):
         # one Hermite sample of a rank-1 function recovers it exactly, so
         # the mirror of the recovered pole is the point we started from
-        rom, next_points, next_rights, next_lefts = step(
+        rom, dataset, next_points, next_rights, next_lefts = step(
             toy, [1.0], [toy.p], [toy.q]
         )
         assert abs(next_points[0] - 1.0) < 1e-9
         assert rom.r == 1
+        # the rom interpolates the returned dataset and records no hash of it
+        assert all(a is b for a, b in zip(rom.data, (dataset.sigmas, dataset.P,
+                                                     dataset.rhos, dataset.Q)))
+        assert "dataset_sha256" not in rom.provenance
         # the next directions are stacked unit-norm rows, one per point
         assert next_rights.shape == (1, toy.con_grid.size)
         assert next_lefts.shape == (1, toy.obs_grid.size)
@@ -93,7 +97,7 @@ class TestStep:
 
     def test_unstable_pole_is_reflected(self, grids):
         bad = RankOneModel(*grids, unit_const(grids[0]), unit_const(grids[1]), 0.5)
-        _, pts, _, _ = step(bad, [2.0], [bad.p], [bad.q])
+        _, _, pts, _, _ = step(bad, [2.0], [bad.p], [bad.q])
         assert pts[0] == pytest.approx(0.5, rel=1e-10)
 
     def test_point_on_spectrum_rejected(self, toy):
@@ -315,7 +319,7 @@ def test_evaluations_and_diagonalizations_per_sweep(monkeypatch):
         monkeypatch.setattr(full, kind, counting(kind, getattr(full, kind)))
     monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(loewner, "dataset_hash", counting("dataset_hash", loewner.dataset_hash))
+    monkeypatch.setattr(irka, "dataset_hash", counting("dataset_hash", irka.dataset_hash))
     r = 2
     rom, report = run(full, IrkaConfig(r=r, init_points=[1.0, 10.0], max_iter=3))
     sweeps = report.iterations

@@ -203,7 +203,8 @@ class TestAssembleHeat:
         rom = assemble(ds)
         prov = rom.provenance
         assert prov["kind"] == "loewner"
-        assert prov["dataset_sha256"] == dataset_hash(ds)
+        # the callers that keep a model record the dataset hash, not assemble
+        assert "dataset_sha256" not in prov
         assert prov["cond_E"] == pytest.approx(1.0)
         # the model keeps the dataset's own arrays; rom.save encodes them
         assert all(a is b for a, b in zip(rom.data, (ds.sigmas, ds.P, ds.rhos, ds.Q)))

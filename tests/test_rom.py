@@ -187,6 +187,21 @@ class TestOneFactorization:
                     assert calls == [(rom.r, rom.r)] * (k + 1)
                     assert np.array_equal(got, refs[m, k])
 
+    def test_kept_points_are_bounded(self, heat_rom):
+        # a sweep over 10r distinct points keeps the factors of the last 2r,
+        # the most points a square tangential dataset has; values, evicted
+        # points again among them, stay bitwise equal to a fresh model's
+        def fresh():
+            return ReducedModel(heat_rom.E, heat_rom.A, heat_rom.B, heat_rom.C,
+                                heat_rom.u_grid, heat_rom.y_grid)
+
+        r, rom = heat_rom.r, fresh()
+        p = random_row(heat_rom.u_grid, 5)
+        points = [complex(1.0 + k, 0.5 * k) for k in range(10 * r)]
+        for s in points + points[:2]:
+            assert np.array_equal(rom.eval_tf(s, p), fresh().eval_tf(s, p))
+        assert list(rom._factors) == points[-2 * r + 2:] + points[:2]
+
     def test_h2_quadrature_one_svd_per_node(self, heat, heat_rom, monkeypatch):
         # the stability check makes the one solve, against E for the
         # pencil's eigenvalues; every node's work goes through one SVD
