@@ -139,7 +139,7 @@ def cmd_validate(args) -> int:
     dataset = samples.collect(model, *rom.data)
     right, left, herm = interpolation_residuals(rom, dataset)
     points = {"right": dataset.sigmas, "left": dataset.rhos,
-              "hermite": [dataset.sigmas[j] for _, j in sorted(dataset.hermites)]}
+              "hermite": [dataset.sigmas[j] for _, j in dataset.hermites]}
     checks = [{"kind": kind, "point": complex_to_pair(s), "residual": float(res)}
               for kind, residuals in zip(points, (right, left, herm))
               for s, res in zip(points[kind], residuals)]

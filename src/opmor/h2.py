@@ -254,9 +254,9 @@ def interpolation_residuals(rom: ReducedModel, dataset: TangentialDataset):
     """Relative residuals of rom against the tangential data it should
     interpolate, each normalized by the data's magnitude; only rom is
     evaluated. Returns three arrays: the transfer values at (sigma_j, p_j),
-    the adjoint values at (rho_i, q_i) and the Hermite scalars, in sorted
-    (i, j) key order. The gaps of the stacked value rows are those of each
-    row alone, bit for bit."""
+    the adjoint values at (rho_i, q_i) and the Hermite scalars, in the
+    dataset's own (i, j) key order. The gaps of the stacked value rows are
+    those of each row alone, bit for bit."""
     P, Q, u_grid, y_grid = dataset.P, dataset.Q, dataset.u_grid, dataset.y_grid
     right = _rel_gap(np.array([rom.eval_tf(s, p) for s, p in zip(dataset.sigmas, P)]),
                      dataset.right_values, y_grid)
@@ -265,7 +265,7 @@ def interpolation_residuals(rom: ReducedModel, dataset: TangentialDataset):
     herm = np.array([abs(inner_product(rom.eval_tf_derivative(dataset.sigmas[j], P[j]), Q[i],
                                        y_grid) - dataset.hermites[i, j])
                      / abs(dataset.hermites[i, j])
-                     for i, j in sorted(dataset.hermites)])
+                     for i, j in dataset.hermites])
     return right, left, herm
 
 

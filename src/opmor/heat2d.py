@@ -23,10 +23,10 @@ axis. With A[n, m] = 1/(s - lam_nm) the norms need N x N arrays only,
 
 the latter one n at a time in O(N^3) memory. The model keeps only the
 poles, the modes, the 1-D tables and Hx, Hy. The dense K x nodes mode-value
-tables (236 MB at n_max 30) are built on demand, bit for bit as
-restrict_mode gives them, when something reads them: the benchmark's size
-annotation and the tests, which use them as the oracle of the separable
-path.
+tables (236 MB at n_max 30) are built on demand, as the expansions of unit
+coefficient rows, which equal restrict_mode's values bit for bit, when
+something reads them: the benchmark's size annotation and the tests, which
+use them as the oracle of the separable path.
 
 The truncation tail is summable: the neglected Hilbert-Schmidt mass on the
 imaginary axis is bounded by sum_{n^2+m^2 > K} 1/(pi^2(n^2+m^2))^2, which is
@@ -60,19 +60,6 @@ def _separable(rows, left, right):
     lead = rows.shape[:-1]
     out = left @ rows.reshape(lead + (left.shape[1], right.shape[1])) @ right.T
     return out.reshape(lead + (left.shape[0] * right.shape[0],))
-
-
-def _mode_table(sxt, syt):
-    """restrict_mode's values for every (n, m), bit for bit, as read-only
-    K x nodes rows: the Kronecker product of the 1-D sine tables Sx, Sy
-    (given transposed) written into the real part (a real temporary costs
-    peak RSS)."""
-    sx, sy = sxt.T, syt.T
-    table = np.zeros((sx.shape[0], sy.shape[0], sx.shape[1], sy.shape[1]), dtype=np.complex128)
-    np.multiply(sx[:, None, :, None], sy[:, None, :], out=table.real)
-    table = table.reshape(sx.shape[0] * sy.shape[0], sx.shape[1] * sy.shape[1])
-    table.setflags(write=False)
-    return table
 
 
 def default_quad_order(n_max: int) -> int:
@@ -116,11 +103,15 @@ class FullModel(PoleFactorModel):
     # the dense mode-value tables, built on first read; no evaluation reads them
     @functools.cached_property
     def input_factors(self):
-        return _mode_table(*self._con_expansion)
+        table = self.expand_con(np.eye(self.poles.size, dtype=np.complex128))
+        table.setflags(write=False)
+        return table
 
     @functools.cached_property
     def output_factors(self):
-        return _mode_table(*self._obs_expansion)
+        table = self.expand_obs(np.eye(self.poles.size, dtype=np.complex128))
+        table.setflags(write=False)
+        return table
 
     def pair_con(self, values):
         return _separable(values, *self._con_pairing)

@@ -54,22 +54,23 @@ def _matrices(dataset: TangentialDataset):
 
 def dataset_hash(dataset: TangentialDataset) -> str:
     """Machine-independent sha256 of a header (each grid's patch bounds and
-    quadrature order, coincidence_tol, the hermite keys sorted by (i, j)),
-    then of sigmas, P, right_values, rhos, Q, left_values and the hermite
-    values in key order as little-endian complex128 bytes. A dataset and
-    the one samples.load reads back from its saved file hash the same."""
-    keys = sorted((int(i), int(j)) for i, j in dataset.hermites)
+    quadrature order, coincidence_tol, the hermite keys in the dataset's
+    (i, j) order), then of sigmas, P, right_values, rhos, Q, left_values and
+    the hermite values as little-endian complex128 bytes. A dataset and the
+    one samples.load reads back from its saved file hash the same."""
     header = [[float(v) for v in (g.patch.x_lo, g.patch.x_hi, g.patch.y_lo, g.patch.y_hi)]
               + [g.order] for g in (dataset.u_grid, dataset.y_grid)]
-    digest = hashlib.sha256(repr(header + [float(dataset.coincidence_tol), keys]).encode())
+    header += [float(dataset.coincidence_tol), list(dataset.hermites)]
+    digest = hashlib.sha256(repr(header).encode())
     for arr in (dataset.sigmas, dataset.P, dataset.right_values, dataset.rhos, dataset.Q,
-                dataset.left_values, [dataset.hermites[k] for k in keys]):
+                dataset.left_values, list(dataset.hermites.values())):
         digest.update(np.asarray(arr, dtype="<c16").tobytes())
     return digest.hexdigest()
 
 
 def assemble(dataset: TangentialDataset) -> ReducedModel:
-    """Build the interpolatory reduced model from a tangential dataset.
+    """Build the interpolatory reduced model from a tangential dataset,
+    which checked its own structure when it was built.
 
     The ReducedModel constructor rejects an E whose condition estimate
     exceeds rom.COND_LIMIT; assembly warns above COND_WARN. The model keeps
@@ -77,7 +78,6 @@ def assemble(dataset: TangentialDataset) -> ReducedModel:
     model config alone. Assembly records no dataset hash: a caller that
     keeps the model records dataset_hash(dataset) in its provenance.
     """
-    dataset.validate()
     rom = interpolant(*_matrices(dataset), dataset.left_values, dataset.right_values,
                       dataset.u_grid, dataset.y_grid,
                       (dataset.sigmas, dataset.P, dataset.rhos, dataset.Q))

@@ -4,8 +4,8 @@ A dataset of order r holds r right samples (sigma_j, p_j, G(sigma_j)[p_j]),
 r left samples (rho_i, q_i, G(rho_i)^+[q_i]) and, for every pair with
 sigma_j = rho_i (within the coincidence tolerance), the Hermite scalar
 <dG/ds(sigma_j)[p_j], q_i>. Downstream assembly consumes nothing but this
-object, so anything the reduction needs must be sampled here. ``load``
-reads back bit-exactly what ``save`` writes.
+object, so anything the reduction needs must be sampled here. It checks
+itself when built; ``load`` reads back bit-exactly what ``save`` writes.
 """
 
 from __future__ import annotations
@@ -40,14 +40,17 @@ def coincident_pairs(sigmas, rhos, tol):
     return [(int(i), int(j)) for i, j in np.argwhere(gaps < tol)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TangentialDataset:
     """Tangential data of order r as stacked node-value arrays.
 
     Row j of ``P`` is p_j on ``u_grid`` and row j of ``right_values`` is
     G(sigma_j)[p_j] on ``y_grid``; row i of ``Q`` is q_i on ``y_grid`` and
     row i of ``left_values`` is G(rho_i)^+[q_i] on ``u_grid``. ``hermites``
-    maps each coincident pair (i, j) to its Hermite scalar.
+    maps each coincident pair (i, j) to its Hermite scalar, in (i, j) order.
+    Construction raises DatasetError for no samples, unequal counts, a wrong
+    shape or a missing or spurious Hermite entry; ``directions`` checks the
+    rows for zero where they enter.
     """
 
     sigmas: np.ndarray
@@ -65,8 +68,7 @@ class TangentialDataset:
     def r(self) -> int:
         return self.sigmas.size
 
-    def validate(self):
-        """Check the structural invariants; raises DatasetError on violation."""
+    def __post_init__(self):
         r, n_left = self.sigmas.size, self.rhos.size
         if r == 0:
             raise DatasetError("dataset has no samples")
@@ -82,10 +84,6 @@ class TangentialDataset:
                                  ("left_values", self.left_values, self.u_grid)):
             if rows.shape != (r, grid.size):
                 raise DatasetError(f"{name} has shape {rows.shape}, expected {(r, grid.size)}")
-        for side, rows, grid in (("right", self.P, self.u_grid), ("left", self.Q, self.y_grid)):
-            zero = np.flatnonzero(row_norms(rows, grid) == 0)
-            if zero.size:
-                raise DatasetError(f"{side} direction {zero[0]} is zero")
         need = set(coincident_pairs(self.sigmas, self.rhos, self.coincidence_tol))
         missing = sorted(need - set(self.hermites))
         if missing:
@@ -99,6 +97,7 @@ class TangentialDataset:
             raise DatasetError(
                 f"hermite sample at (left {i}, right {j}) does not match any coincident pair"
             )
+        object.__setattr__(self, "hermites", dict(sorted(self.hermites.items())))
 
 
 def make_direction(spec, grid: QuadratureGrid):
@@ -192,22 +191,16 @@ def collect(model, sigmas, ps, rhos, qs, conjugate_close=False) -> TangentialDat
     Directions are anything ``directions`` accepts. Points must be off the
     spectrum (the model's pole tolerance applies). With
     ``conjugate_close=True``, missing conjugate partners are appended to both
-    point lists before sampling.
+    point lists before sampling. The dataset's construction refuses data
+    with no samples or unequal right and left counts (DatasetError).
     """
     if len(sigmas) != len(ps) or len(rhos) != len(qs):
         raise ValueError("point and direction lists must have equal length")
-    if len(sigmas) == 0 or len(rhos) == 0:
-        raise ValueError("need at least one right and one left point")
     P = directions(ps, model.con_grid, "right")
     Q = directions(qs, model.obs_grid, "left")
     if conjugate_close:
         sigmas, P = conjugate_closure(sigmas, P)
         rhos, Q = conjugate_closure(rhos, Q)
-    if len(sigmas) != len(rhos):
-        raise ValueError(
-            f"right and left point counts differ ({len(sigmas)} vs {len(rhos)}); "
-            "square data is required for assembly"
-        )
     right_values = np.array([model.apply_tf(s, p) for s, p in zip(sigmas, P)])
     left_values = np.array([model.apply_tf_adjoint(t, q) for t, q in zip(rhos, Q)])
     hermites = {
@@ -229,7 +222,6 @@ def collect(model, sigmas, ps, rhos, qs, conjugate_close=False) -> TangentialDat
 
 
 def save(dataset: TangentialDataset, path):
-    dataset.validate()
     dump_json({
         "r": dataset.r,
         "coincidence_tol": dataset.coincidence_tol,
@@ -253,6 +245,8 @@ def save(dataset: TangentialDataset, path):
 
 
 def load(path) -> TangentialDataset:
+    """The dataset ``save`` wrote to path, bit for bit; a zero direction row
+    raises ValueError, as ``directions`` does."""
     obj = load_json(path)
     try:
         rights, lefts = obj["rights"], obj["lefts"]
@@ -279,11 +273,11 @@ def load(path) -> TangentialDataset:
             f"{path}: left directions must live on the right values' grid and "
             "left values on the right directions' grid"
         )
-    ds = TangentialDataset(sigmas, rhos, P, right_values, Q, left_values,
-                           u_grid, y_grid, hermites, tol)
+    ds = TangentialDataset(sigmas, rhos, directions(P, u_grid, "right"), right_values,
+                           directions(Q, y_grid, "left"), left_values, u_grid, y_grid,
+                           hermites, tol)
     if declared_r != ds.r:
         raise DatasetError(
             f"{path}: declared order r={declared_r} but found {ds.r} right samples"
         )
-    ds.validate()
     return ds

@@ -51,30 +51,30 @@ def heat_run(heat):
 class TestIrkaConfig:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError, match="order"):
-            IrkaConfig(r=0).validate()
+            IrkaConfig(r=0)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError, match="point_tol"):
-            IrkaConfig(r=1, point_tol=0.0).validate()
+            IrkaConfig(r=1, point_tol=0.0)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_rejects_non_finite_tolerance(self, tol):
         # NaN used to pass (NaN <= 0 is False) and then never converge
         with pytest.raises(ValueError, match="point_tol must be positive and finite"):
-            IrkaConfig(r=1, point_tol=tol).validate()
+            IrkaConfig(r=1, point_tol=tol)
 
     def test_rejects_left_half_plane_init(self):
         with pytest.raises(ValueError, match="right half-plane"):
-            IrkaConfig(r=1, init_points=[-1.0]).validate()
+            IrkaConfig(r=1, init_points=[-1.0])
 
     @pytest.mark.parametrize("bad", [float("nan"), complex(1.0, float("inf"))])
     def test_rejects_non_finite_init(self, bad):
         with pytest.raises(ValueError, match="init_points must be finite"):
-            IrkaConfig(r=2, init_points=[1.0, bad]).validate()
+            IrkaConfig(r=2, init_points=[1.0, bad])
 
     def test_rejects_wrong_init_length(self):
         with pytest.raises(ValueError, match="length"):
-            IrkaConfig(r=2, init_points=[1.0]).validate()
+            IrkaConfig(r=2, init_points=[1.0])
 
 
 class TestStep:

@@ -6,6 +6,7 @@ Only jsonio, the file formats' one encoder and decoder, and config, which
 hashes the raw bytes it parses, import json; only jsonio.dump_json and
 cli._write_csv, one writer per output format, open a file for writing.
 A definition that only tests call belongs in tests/ (see tests/oracles.py).
+No class defines a ``validate`` method: objects check themselves when built.
 
 References are read with ast: names, attribute names, imported names and
 the words of string constants other than docstrings, since the benchmark's
@@ -92,6 +93,18 @@ def test_every_definition_is_reached_outside_tests():
                        for other, words in refs.items() for word, line in words):
                 unreached.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not unreached, "defined in src/ but only tests reach:\n" + "\n".join(unreached)
+
+
+def test_no_class_defines_validate():
+    # an object checks itself when it is built, so no caller can forget a
+    # call-me-first check (IrkaConfig and TangentialDataset do it in
+    # __post_init__)
+    found = [f"{path.relative_to(ROOT)}:{item.lineno} {node.name}.validate"
+             for path in PACKAGE for node in ast.walk(parse(path))
+             if isinstance(node, ast.ClassDef) for item in node.body
+             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and item.name == "validate"]
+    assert not found, "call-me-first checks:\n" + "\n".join(found)
 
 
 def test_package_needs_only_stdlib_and_numpy():
