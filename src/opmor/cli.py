@@ -328,13 +328,16 @@ def cmd_simulate(args) -> int:
     model = build_model(cfg.model_block)
     rom = _load_rom(args.rom, model)
     t, dt, u = _read_signal_csv(args.input, model.con_grid)
-    horizon = positive_float(args.T, "--T") if args.T is not None else float(t[-1])
+    horizon = positive_float(args.T, "--T") if args.T is not None else float(t[-1] - t[0])
     n_steps = int(round(horizon / dt))
-    t = t[: n_steps + 1]
-    tables = [(args.out, _output_table(t, rom_mod.simulate(rom, u, horizon, dt), rom.y_grid))]
+    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(horizon, dt):
+        raise ParseError(f"horizon {horizon} is not a positive multiple of dt={dt}")
+    if len(u) < n_steps + 1:
+        raise ParseError(f"need {n_steps + 1} input samples for T={horizon}, dt={dt}, got {len(u)}")
+    t, u = t[: n_steps + 1], u[: n_steps + 1]
+    tables = [(args.out, _output_table(t, rom_mod.pole_residue(rom).simulate(u, dt), rom.y_grid))]
     if args.full_out:
-        tables.append((args.full_out,
-                       _output_table(t, model.simulate(u, horizon, dt), model.obs_grid)))
+        tables.append((args.full_out, _output_table(t, model.simulate(u, dt), model.obs_grid)))
     _write_all([(path, functools.partial(_write_csv, header=header, rows=rows))
                 for path, (header, rows) in tables])
     print(f"simulated {n_steps} steps of dt={dt:g} -> {args.out}")
@@ -401,7 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="reduced output CSV")
     p.add_argument("--full-out", default=None, dest="full_out",
                    help="optional full-model output CSV for comparison")
-    p.add_argument("--T", type=float, default=None, help="horizon (default: last input time)")
+    p.add_argument("--T", type=float, default=None,
+                   help="horizon, a multiple of the time step (default: the whole input series)")
     p.set_defaults(func=cmd_simulate)
     return parser
 

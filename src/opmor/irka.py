@@ -44,7 +44,7 @@ from .samples import collect, directions
 class IrkaConfig:
     r: int
     init_points: list | None = None        # None: log-spaced over [1, 10 |slowest pole|]
-    init_right_dirs: list | None = None    # None: lowest retained input factors, normalized
+    init_right_dirs: list | None = None    # None: first r input factors, normalized (_default_init)
     init_left_dirs: list | None = None
     max_iter: int = 50
     point_tol: float = 1e-8
@@ -112,7 +112,9 @@ def _matched_movement(old, new) -> float:
 
 def _default_init(full, r):
     """Points log-spaced over [1, 10 |lam_slowest|], [1, 197] at the heat
-    model, and the lowest r retained input/output factors, phase-fixed. The
+    model, and the input/output factors of the first r modes in the model's
+    order, phase-fixed: for the heat model (n, m) runs lexicographically, so
+    r <= n_max takes (1, 1), (1, 2), ..., (1, r), not the r slowest modes. The
     factors are expanded from complex unit coefficient rows, which reproduces
     the factor table rows bit for bit without building the tables."""
     K = full.poles.size

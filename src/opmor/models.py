@@ -6,8 +6,8 @@ Every full-order model in this package has the form
 
 with input factors u_k in U = L2(con patch), output factors y_k in
 Y = L2(obs patch) and poles lam_k. The heat benchmark has one term per
-retained eigenmode. Adjoint and derivative evaluations and exact time
-stepping all follow from this form, so they are implemented once here, on
+retained eigenmode, a reduced model's pole-residue form one per pole. The
+evaluations and exact time stepping of both are implemented once here, on
 two maps per port: the pairing map from node values to the coefficients
 <f, u_k> (or <g, y_k>) and the expansion map from coefficients to the node
 values of sum_k c_k u_k (or y_k). The squared Hilbert-Schmidt and H2 norms
@@ -18,6 +18,7 @@ tables; a model with structure overrides the four maps and the two norms.
 from __future__ import annotations
 
 import functools
+import warnings
 
 import numpy as np
 
@@ -164,34 +165,31 @@ class PoleFactorModel:
         s = self._check_point(s)
         return -self.expand_obs(self.pair_con(p) / (s - self.poles) ** 2)
 
-    def simulate(self, u, T, dt):
+    def simulate(self, u, dt):
         """March the diagonal state exactly against piecewise-linear input.
 
         Row k of ``u`` holds the input's node values on the control grid at
         t_k = k*dt; the linear interpolant between consecutive samples is
         convolved in closed form with e^{lam t} per pole. Returns the
         output's node values on the observation grid at the same time
-        points, (T/dt + 1) x obs nodes, starting from the zero state.
+        points, one row per input row, starting from the zero state, so the
+        first n rows depend on the first n input rows only. Warns when a
+        pole has Re >= 0.
         """
         if dt <= 0:
             raise ValueError(f"time step must be positive, got {dt}")
-        if len(u) == 0:
-            raise ValueError("input series is empty")
-        n_steps = int(round(T / dt))
-        if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, dt):
-            raise ValueError(f"horizon {T} is not a positive multiple of dt={dt}")
-        if len(u) < n_steps + 1:
-            raise ValueError(
-                f"need {n_steps + 1} input samples for T={T}, dt={dt}, got {len(u)}"
-            )
-        u = np.asarray(u, dtype=np.complex128)
-        ucoef = np.array([self.pair_con(row) for row in u[: n_steps + 1]])
+        if len(u) < 2:
+            raise ValueError(f"need at least two input samples, got {len(u)}")
+        if np.max(self.poles.real) >= 0:
+            warnings.warn("model is unstable; simulation proceeds but may diverge",
+                          stacklevel=2)
+        ucoef = np.array([self.pair_con(row) for row in np.asarray(u, dtype=np.complex128)])
         z = self.poles * dt
         ez = np.exp(z)
         c1, c2 = (dt * phi for phi in phi12(z))
         x = np.zeros(self.poles.size, dtype=np.complex128)
-        out = np.zeros((n_steps + 1, self.obs_grid.size), dtype=np.complex128)
-        for k in range(n_steps):
+        out = np.zeros((len(ucoef), self.obs_grid.size), dtype=np.complex128)
+        for k in range(len(ucoef) - 1):
             x = ez * x + c1 * ucoef[k] + c2 * (ucoef[k + 1] - ucoef[k])
             out[k + 1] = self.expand_obs(x)
         return out

@@ -13,16 +13,15 @@ quadrature factors its many nodes through the unkept ReducedModel._factor
 instead. The pole-residue decomposition turns the pencil into r scalar poles
 with tangential directions as a models.PoleFactorModel, computed once per
 model; the IRKA update, the closed-form H2 quantities (stability included)
-and exact time stepping use that form. Both interpolatory constructions
-build their model through interpolant, which realizes conjugate-closed data
-in real form. A real pencil is diagonalized in real arithmetic, so its poles
-come in bitwise-conjugate pairs; with real ports too, each pair's residues
-are set pairwise to exact conjugates, and a real pole's residues are real.
+and the time stepper, PoleFactorModel.simulate, run on that form. Both
+interpolatory constructions build their model through interpolant, which
+realizes conjugate-closed data in real form. A real pencil is diagonalized
+in real arithmetic, so its poles come in bitwise-conjugate pairs; with real
+ports too, each pair's residues are set pairwise to exact conjugates, and a
+real pole's residues are real.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -225,19 +224,6 @@ def _diagonalize(rom: ReducedModel) -> PoleFactorModel:
         ins[flat], outs[flat] = ins[flat].real, outs[flat].real
     return PoleFactorModel(rom.u_grid, rom.y_grid, vals, ins, outs,
                            pole_tol=SOLVE_RTOL * scale)
-
-
-def simulate(rom: ReducedModel, u, T, dt):
-    """Exact-exponential time stepping of the diagonalized reduced system:
-    input rows on u_grid at t_k = k*dt in, output rows on y_grid out (see
-    PoleFactorModel.simulate)."""
-    pr = pole_residue(rom)
-    if np.max(np.real(pr.poles)) >= 0:
-        warnings.warn(
-            "reduced model is unstable; simulation proceeds but may diverge",
-            stacklevel=2,
-        )
-    return pr.simulate(u, T, dt)
 
 
 def save(rom: ReducedModel, path):

@@ -10,6 +10,7 @@ itself when built; ``load`` reads back bit-exactly what ``save`` writes.
 
 from __future__ import annotations
 
+import types
 import warnings
 from dataclasses import dataclass, field
 
@@ -49,8 +50,9 @@ class TangentialDataset:
     row i of ``left_values`` is G(rho_i)^+[q_i] on ``u_grid``. ``hermites``
     maps each coincident pair (i, j) to its Hermite scalar, in (i, j) order.
     Construction raises DatasetError for no samples, unequal counts, a wrong
-    shape or a missing or spurious Hermite entry; ``directions`` checks the
-    rows for zero where they enter.
+    shape or a missing or spurious Hermite entry, then keeps read-only views
+    of the six arrays and a read-only mapping of the Hermite entries, so the
+    checked data cannot change; ``directions`` checks rows for zero on entry.
     """
 
     sigmas: np.ndarray
@@ -97,7 +99,12 @@ class TangentialDataset:
             raise DatasetError(
                 f"hermite sample at (left {i}, right {j}) does not match any coincident pair"
             )
-        object.__setattr__(self, "hermites", dict(sorted(self.hermites.items())))
+        for name in ("sigmas", "rhos", "P", "right_values", "Q", "left_values"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "hermites",
+                           types.MappingProxyType(dict(sorted(self.hermites.items()))))
 
 
 def make_direction(spec, grid: QuadratureGrid):

@@ -602,10 +602,10 @@ class TestIrkaCommand:
 
 
 class TestSimulateCommand:
-    def write_input(self, path, n_nodes, n_steps=40, dt=0.05):
+    def write_input(self, path, n_nodes, n_steps=40, dt=0.05, t0=0.0):
         rng = np.random.default_rng(11)
-        t = np.arange(n_steps + 1) * dt
-        u = np.sin(np.pi * t)[:, None] * rng.standard_normal(n_nodes)[None, :]
+        t = t0 + np.arange(n_steps + 1) * dt
+        u = np.sin(np.pi * (t - t0))[:, None] * rng.standard_normal(n_nodes)[None, :]
         rows = np.hstack([t[:, None], u])
         header = "time," + ",".join(f"u{k}" for k in range(n_nodes))
         np.savetxt(path, rows, delimiter=",", header=header, comments="", fmt="%.17g")
@@ -709,6 +709,50 @@ class TestSimulateCommand:
         assert rc == 2
         assert "--T must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("horizon, message", [
+        ("0.125", "horizon 0.125 is not a positive multiple of dt=0.05"),
+        ("3.0", "need 61 input samples for T=3.0, dt=0.05, got 41"),
+    ], ids=["off-grid", "beyond-series"])
+    def test_horizon_off_the_series_is_bad_input(self, pipeline, capsys, horizon, message):
+        inp = pipeline["dir"] / "input.csv"
+        self.write_input(inp, MODEL_BLOCK["quad_order"] ** 2)
+        out = pipeline["dir"] / "y.csv"
+        rc = main(["simulate", "--config", pipeline["config"], "--rom", pipeline["rom"],
+                   "--input", str(inp), "--out", str(out), "--T", horizon])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_series_may_start_after_zero(self, pipeline):
+        # the default horizon is the whole series, wherever it starts: a time
+        # column shifted by 1.0 keeps its own times and the unshifted outputs,
+        # bit for bit (t0 = 1.0 and dt = 2^-5 are exact in binary)
+        n_nodes = MODEL_BLOCK["quad_order"] ** 2
+        rows = {}
+        for t0 in (0.0, 1.0):
+            inp, out = pipeline["dir"] / f"u{t0}.csv", pipeline["dir"] / f"y{t0}.csv"
+            t = self.write_input(inp, n_nodes, dt=2.0 ** -5, t0=t0)
+            assert main(["simulate", "--config", pipeline["config"], "--rom", pipeline["rom"],
+                         "--input", str(inp), "--out", str(out)]) == 0
+            got = np.genfromtxt(out, delimiter=",", skip_header=1)
+            assert np.array_equal(got[:, 0], t)
+            rows[t0] = got[:, 1:]
+        assert rows[0.0].shape == (41, n_nodes)
+        assert np.array_equal(rows[1.0], rows[0.0])
+
+    def test_horizon_keeps_the_first_rows(self, pipeline):
+        # --T simulates a prefix of the series, so its rows are the first
+        # rows of the whole run's
+        inp = pipeline["dir"] / "input.csv"
+        self.write_input(inp, MODEL_BLOCK["quad_order"] ** 2)
+        whole, part = pipeline["dir"] / "y.csv", pipeline["dir"] / "y_part.csv"
+        base = ["simulate", "--config", pipeline["config"], "--rom", pipeline["rom"],
+                "--input", str(inp)]
+        assert main([*base, "--out", str(whole)]) == 0
+        assert main([*base, "--out", str(part), "--T", "1.0"]) == 0
+        lines = part.read_text().splitlines()
+        assert len(lines) == 22 and lines == whole.read_text().splitlines()[:22]
 
     @pytest.mark.parametrize("row, col, token", [(3, 0, "nan"), (5, 7, "nan"),
                                                  (2, 4, "-inf"), (4, 1, "1e400")])

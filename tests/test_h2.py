@@ -470,16 +470,16 @@ class TestInterpolationResiduals:
     def test_perturbed_value_reads_back(self, data, kind, index):
         # a stored value scaled by 1 + eps sits eps/(1 + eps) away, relatively,
         # from what the reduced model reproduces to round-off
+        # the dataset is read-only, so copies are perturbed and a new one built
         rom, ds = data
-        ds = dataclasses.replace(ds, right_values=ds.right_values.copy(),
-                                 left_values=ds.left_values.copy(),
-                                 hermites=dict(ds.hermites))
+        right, left, hermites = ds.right_values.copy(), ds.left_values.copy(), dict(ds.hermites)
         if kind == 0:
-            ds.right_values[index] *= 1 + self.EPS
+            right[index] *= 1 + self.EPS
         elif kind == 1:
-            ds.left_values[index] *= 1 + self.EPS
+            left[index] *= 1 + self.EPS
         else:
-            ds.hermites[sorted(ds.hermites)[index]] *= 1 + self.EPS
+            hermites[sorted(hermites)[index]] *= 1 + self.EPS
+        ds = dataclasses.replace(ds, right_values=right, left_values=left, hermites=hermites)
         residuals = interpolation_residuals(rom, ds)
         assert residuals[kind][index] == pytest.approx(self.EPS / (1 + self.EPS), rel=1e-6)
         others = np.delete(np.concatenate(residuals),

@@ -248,7 +248,7 @@ class TestSimulate:
         model = make_model(3)
         n = 20
         u = np.zeros((n + 1, model.con_grid.size))
-        y = model.simulate(u, T=0.2, dt=0.01)
+        y = model.simulate(u, dt=0.01)
         assert y.shape == (n + 1, model.obs_grid.size)
         assert np.all(y == 0)
 
@@ -261,7 +261,7 @@ class TestSimulate:
         T = 1.0
         n = int(round(T / dt))
         u = np.exp(-np.arange(n + 1) * dt)[:, None] * p0
-        y = model.simulate(u, T=T, dt=dt)
+        y = model.simulate(u, dt=dt)
         lam = eigenvalue(1, 1)
         coef = np.sum(
             model.con_grid.weights
@@ -282,7 +282,7 @@ class TestSimulate:
         T = 2.0
         n = int(round(T / dt))
         u = np.tile(p0, (n + 1, 1))
-        y = model.simulate(u, T=T, dt=dt)
+        y = model.simulate(u, dt=dt)
         dc = model.apply_tf(0.0, p0)
         assert row_norms(y[-1] - dc, model.obs_grid) < 1e-4
 
@@ -296,7 +296,7 @@ class TestSimulate:
         T = 2.0
         n = int(round(T / dt))
         u = np.sin(w * np.arange(n + 1) * dt)[:, None] * p0
-        y = model.simulate(u, T=T, dt=dt)
+        y = model.simulate(u, dt=dt)
         vals = y.real
         t = np.arange(n + 1) * dt
         last = t >= 1.0
@@ -310,15 +310,23 @@ class TestSimulate:
     def test_input_validation(self):
         model = make_model(2)
         u = np.tile(ones_row(model.con_grid), (3, 1))
-        with pytest.raises(ValueError):
-            model.simulate(u, T=0.02, dt=-0.01)
-        with pytest.raises(ValueError):
-            model.simulate([], T=0.02, dt=0.01)
-        with pytest.raises(ValueError):
-            model.simulate(u, T=1.0, dt=0.01)  # not enough samples
+        with pytest.raises(ValueError, match="time step must be positive"):
+            model.simulate(u, dt=-0.01)
+        for short in ([], u[:1]):
+            with pytest.raises(ValueError, match="need at least two input samples"):
+                model.simulate(short, dt=0.01)
         finer = QuadratureGrid(model.con_grid.patch, model.con_grid.order + 1)
         with pytest.raises(ValueError):
-            model.simulate(np.tile(ones_row(finer), (3, 1)), T=0.02, dt=0.01)
+            model.simulate(np.tile(ones_row(finer), (3, 1)), dt=0.01)
+
+    def test_prefix_is_the_shorter_run(self):
+        # the march reads each input row once, in order: simulating the first
+        # n rows gives the first n output rows, bit for bit
+        model = make_model(12)
+        u = random_rows(model.con_grid, 41, 9)
+        y = model.simulate(u, dt=0.02)
+        for n in (2, 7, 40):
+            assert np.array_equal(model.simulate(u[:n], dt=0.02), y[:n])
 
 
 # The separable path sums the same products of O(1) factors as the dense
@@ -419,7 +427,7 @@ class TestSeparablePath:
     def test_simulate_matches_dense_tables(self, separable_pair):
         model, dense = separable_pair
         u = random_rows(model.con_grid, 6, 8)
-        got, want = model.simulate(u, T=0.05, dt=0.01), dense.simulate(u, T=0.05, dt=0.01)
+        got, want = model.simulate(u, dt=0.01), dense.simulate(u, dt=0.01)
         assert got.shape == want.shape
         scale = np.linalg.norm(want, axis=1).max()
         assert np.linalg.norm(got - want, axis=1).max() <= SEPARABLE_RTOL * scale
@@ -470,7 +478,7 @@ class TestDenseTablesOnDemand:
         assert h2_error(model, rom) >= 0
         assert optimality_residuals(model, rom).max_residual >= 0
         u = np.tile(ones_row(model.con_grid), (3, 1))
-        assert len(model.simulate(u, T=0.02, dt=0.01)) == 3
+        assert len(model.simulate(u, dt=0.01)) == 3
         project_explicit(model, *build_bases(model, [1.0, 3.0], ["mode:1,1", "mode:2,1"],
                                              [2.0, 4.0], ["mode:1,2", "mode:2,2"]))
         assert not set(DENSE_TABLES) & set(vars(model))

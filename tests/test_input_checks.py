@@ -77,9 +77,6 @@ CHECKS = [
                  ValueError, "input factor array has wrong shape", id="factors-input-shape"),
     pytest.param(lambda m, ds: factors(2, U_GRID.size, Y_GRID.size + 1),
                  ValueError, "output factor array has wrong shape", id="factors-output-shape"),
-    pytest.param(lambda m, ds: m.simulate(np.zeros((5, U_GRID.size)), 0.25, 0.1),
-                 ValueError, r"horizon 0.25 is not a positive multiple of dt=0.1",
-                 id="simulate-horizon-off-grid"),
     pytest.param(lambda m, ds: ReducedModel(np.eye(2, 3), np.eye(2, 3), np.ones((2, U_GRID.size)),
                                             np.ones((2, Y_GRID.size)), U_GRID, Y_GRID),
                  ValueError, "E and A must be square matrices of equal size",

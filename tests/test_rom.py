@@ -7,9 +7,10 @@ from opmor import h2
 from opmor.errors import ConditioningError, ParseError, SemiSimplicityError, SingularSolveError
 from opmor.funcspace import Patch, QuadratureGrid, inner_product, row_norms
 from opmor.heat2d import FullModel
+from opmor.irka import IrkaConfig, run
 from opmor.jsonio import family_to_json
 from opmor.loewner import assemble
-from opmor.rom import ReducedModel, load, pole_residue, save, simulate
+from opmor.rom import ReducedModel, load, pole_residue, save
 from opmor.samples import collect, directions
 
 from oracles import RankOneModel
@@ -354,7 +355,7 @@ class TestStability:
 class TestSimulate:
     def test_zero_input(self, toy_rom):
         u = np.zeros((11, U_GRID.size))
-        y = simulate(toy_rom, u, T=1.0, dt=0.1)
+        y = pole_residue(toy_rom).simulate(u, dt=0.1)
         assert y.shape == (11, Y_GRID.size)
         assert np.all(y == 0)
 
@@ -366,7 +367,7 @@ class TestSimulate:
         T = 16.0
         n = int(round(T / dt))
         u = np.tile(p0, (n + 1, 1))
-        y = simulate(toy_rom, u, T=T, dt=dt)
+        y = pole_residue(toy_rom).simulate(u, dt=dt)
         want = toy_rom.eval_tf(0.0, p0)
         assert rel_gap(y[-1], want, Y_GRID) < 2e-7
 
@@ -385,8 +386,8 @@ class TestSimulate:
         rng = np.random.default_rng(3)
         coef = rng.standard_normal(n + 1)
         u = np.tile(coef[:, None], (1, heat.con_grid.size))
-        y_full = heat.simulate(u, T=T, dt=dt)
-        y_rom = simulate(rom, u, T=T, dt=dt)
+        y_full = heat.simulate(u, dt=dt)
+        y_rom = pole_residue(rom).simulate(u, dt=dt)
         scale = row_norms(y_full, heat.obs_grid).max()
         assert np.all(row_norms(y_full - y_rom, heat.obs_grid) < 1e-6 * scale)
 
@@ -394,7 +395,17 @@ class TestSimulate:
         rom = diag_rom([0.5], [unit_const(U_GRID)], [unit_const(Y_GRID)])
         u = np.tile(unit_const(U_GRID), (3, 1))
         with pytest.warns(UserWarning, match="unstable"):
-            simulate(rom, u, T=0.2, dt=0.1)
+            pole_residue(rom).simulate(u, dt=0.1)
+
+    def test_prefix_is_the_shorter_run(self, heat):
+        # an r = 2 IRKA pole-residue form: simulating the first n input rows
+        # gives the first n output rows, bit for bit
+        pr = pole_residue(run(heat, IrkaConfig(r=2))[0])
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((41, heat.con_grid.size))
+        y = pr.simulate(u, dt=0.02)
+        for n in (2, 7, 40):
+            assert np.array_equal(pr.simulate(u[:n], dt=0.02), y[:n])
 
 
 # Every port takes a node-value row on its grid; a row with another node
@@ -415,9 +426,9 @@ def test_row_of_wrong_length_rejected(heat, heat_rom, case):
         if kind == "directions":
             directions([row], heat.con_grid, "right")
         elif case == "full.simulate":
-            heat.simulate(np.tile(row, (3, 1)), T=0.02, dt=0.01)
+            heat.simulate(np.tile(row, (3, 1)), dt=0.01)
         elif case == "reduced.simulate":
-            simulate(heat_rom, np.tile(row, (3, 1)), T=0.02, dt=0.01)
+            pole_residue(heat_rom).simulate(np.tile(row, (3, 1)), dt=0.01)
         else:
             prefix = "eval_" if kind == "reduced" else "apply_"
             getattr(model, prefix + call)(1.0, row)

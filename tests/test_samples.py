@@ -90,6 +90,17 @@ class TestCollect:
         want = inner_product(model.apply_tf_derivative(1.0, ds.P[0]), ds.Q[0], ds.y_grid)
         assert ds.hermites[0, 0] == want
 
+    def test_dataset_is_read_only(self, model):
+        # the checks run once, at construction, so nothing may change after
+        ds = collect(model, [1.0, 5.0], ["const", "const"], [1.0, 7.0],
+                     ["const", "const"])
+        with pytest.raises(ValueError, match="read-only"):
+            ds.Q[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.right_values[0] = 0
+        with pytest.raises(TypeError):
+            ds.hermites[0, 0] = 1.0
+
     def test_zero_direction_rejected(self, model):
         z = np.zeros(model.con_grid.size)
         with pytest.raises(ValueError, match="direction 1 is zero"):

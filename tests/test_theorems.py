@@ -139,19 +139,28 @@ def check_gradient(full, rom, resolved):
         return step
 
     floor = floor_of_j(full)
+    # J depends on lam_k through terms a / x of h2_error's expansion: the
+    # cross term's <b_k, u_j><y_j, c_k> / (-conj lam_k - lam_j) over the full
+    # poles lam_j, and the Gram terms <b_i, b_k><c_k, c_i> / -(lam_k + conj lam_i)
+    # with their mirrors (i, k). Along a pole step of length h each |x| >= d =
+    # |Re lam_k| - h, and x moves at rate 1 (at most 2 in the i = k term), so
+    # |d^3 (a / x)| <= 6 |a| |dx|^3 / d^4. The cross term counts twice, so
+    # |J'''| <= 12 S_k / d^4, S_k = sum |cross a| + sum |Gram a| + 3 |Gram a_kk|
+    cross = np.abs(full.pair_con(b) * full.pair_obs(c)).sum(axis=1)
+    gram = np.abs(pr.pair_con(b) * pr.pair_obs(c))
+    sums = cross + gram.sum(axis=1) + 3 * np.diag(gram)
     checks = []  # (central difference, formula, tolerance)
     for k in range(lam.size):
         # poles: J along lam_k + h, for h = 1e-6 |lam_k| times 1 and i, has
         # derivative 2 Re(conj(g_k) h) / |h| with g_k the Hermite gap. At a
         # real pole of a real iterate, whose residues are real, J is even in
-        # the imaginary step, and so is the formula: only 1 is checked. J
-        # varies on the scale d = |Re lam_k|, the distance to the imaginary
-        # axis, so |J'''| <= 6 (4 ||G||^2) / d^3 and the central difference
-        # is off by h^2 |J'''| / 6 from truncation and floor / h from rounding
+        # the imaginary step, and so is the formula: only 1 is checked. The
+        # central difference is off by h^2 |J'''| / 6 from truncation and
+        # floor / h from rounding
         g = inner_product(full.apply_tf_derivative(mu[k], b[k])
                           - pr.apply_tf_derivative(mu[k], b[k]), c[k], y_grid)
         h = 1e-6 * abs(lam[k])
-        tol = floor / h + h ** 2 * 4 * full.h2_sq / abs(lam[k].real) ** 3
+        tol = floor / h + 2 * h ** 2 * sums[k] / (abs(lam[k].real) - h) ** 4
         for unit in (1.0,) if lam[k].imag == 0 else (1.0, 1j):
             e = np.zeros(lam.size, dtype=complex)
             e[k] = h * unit
