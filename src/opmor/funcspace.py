@@ -11,11 +11,13 @@ linear in the first argument and conjugate-linear in the second. A function
 is its row of node values; stacked functions are stacked rows. A row is
 read on the grid it is handed with, so a row of the wrong length raises
 ValueError from numpy, and grids are compared where a file or a config
-hands over a function.
+hands over a function. A process builds each 1-D rule once per order; both
+axes, both patches and every grid read from a file share it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +44,18 @@ class Patch:
             )
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(order):
+    """Read-only Gauss-Legendre nodes and weights of one order on [-1, 1]."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 def _gauss_segment(lo, hi, order):
     """Gauss-Legendre nodes and weights on [lo, hi]."""
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = _gauss_rule(order)
     half = 0.5 * (hi - lo)
     return half * t + 0.5 * (hi + lo), half * w
 
@@ -67,9 +78,7 @@ class QuadratureGrid:
         self.order = int(order)
         x, wx = _gauss_segment(patch.x_lo, patch.x_hi, self.order)
         y, wy = _gauss_segment(patch.y_lo, patch.y_hi, self.order)
-        nodes = np.empty((self.order * self.order, 2))
-        nodes[:, 0] = np.repeat(x, self.order)
-        nodes[:, 1] = np.tile(y, self.order)
+        nodes = np.stack((np.repeat(x, self.order), np.tile(y, self.order)), axis=1)
         weights = np.outer(wx, wy).ravel()
         for arr in (nodes, weights, x, y, wx, wy):
             arr.setflags(write=False)
@@ -119,7 +128,6 @@ def restrict_mode(n: int, m: int, grid: QuadratureGrid):
     """
     if n < 1 or m < 1:
         raise ValueError(f"mode indices must be >= 1, got ({n}, {m})")
-    x = grid.nodes[:, 0]
-    y = grid.nodes[:, 1]
+    x, y = grid.nodes.T
     return 2.0 * np.sin(n * np.pi * x) * np.sin(m * np.pi * y)
 

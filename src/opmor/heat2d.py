@@ -21,12 +21,12 @@ axis. With A[n, m] = 1/(s - lam_nm) the norms need N x N arrays only,
     hs(s)^2 = sum Hx * (A Hy A^H)                              in O(N^3),
     ||G||^2 = sum Hx[n,n'] Hy[m,m'] / -(lam_nm + lam_n'm')     in O(N^4),
 
-the latter one n at a time in O(N^3) memory. The model keeps only the
-poles, the modes, the 1-D tables and Hx, Hy. The dense K x nodes mode-value
-tables (236 MB at n_max 30) are built on demand, as the expansions of unit
-coefficient rows, which equal restrict_mode's values bit for bit, when
-something reads them: the benchmark's size annotation and the tests, which
-use them as the oracle of the separable path.
+the latter one n at a time, each written into one N x N x N workspace. The
+model keeps only the poles, the modes, the 1-D tables and Hx, Hy. The dense
+K x nodes mode-value tables (236 MB at n_max 30) are built on demand, as the
+expansions of unit coefficient rows, which equal restrict_mode's values bit
+for bit, when something reads them: the benchmark's size annotation and the
+tests, which use them as the oracle of the separable path.
 
 The truncation tail is summable: the neglected Hilbert-Schmidt mass on the
 imaginary axis is bounded by sum_{n^2+m^2 > K} 1/(pi^2(n^2+m^2))^2, which is
@@ -133,9 +133,12 @@ class FullModel(PoleFactorModel):
     def h2_sq(self):
         n = self.n_max
         lam = self.poles.real.reshape(n, n)
-        # row i of the series: Hx[i] @ (1/-(lam_im + lam_n'm') as an (n', m m') array) @ Hy
-        return float(sum(self._hx[i] @ (-1.0 / (lam[i][:, None] + lam[:, None, :])).reshape(n, -1)
-                         @ self._hy.ravel() for i in range(n)))
+        # row i, in one workspace: Hx[i] @ (1/-(lam_im + lam_n'm') as an (n', m m') array) @ Hy
+        work, total = np.empty((n, n, n)), 0
+        for i in range(n):
+            np.divide(-1.0, np.add(lam[i][:, None], lam[:, None, :], out=work), out=work)
+            total += self._hx[i] @ work.reshape(n, -1) @ self._hy.ravel()
+        return float(total)
 
     def mode_label(self, k):
         return (int(self.modes[k, 0]), int(self.modes[k, 1]))

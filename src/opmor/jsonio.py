@@ -110,11 +110,11 @@ def family_from_json(objs, where, key=None):
     if len(grids) != 1:
         raise ParseError(f"expected function vectors on one grid at {where}[*]{suffix}, "
                          f"found {len(grids)} grids")
-    grid = QuadratureGrid(*grids.pop())
+    patch, order = grids.pop()
     rows = pair_to_complex([f["values"] for f in fvs], f"{where}[*]{suffix}.values", 2)
-    if rows.shape[1] != grid.size:
-        raise ParseError(f"{where}[*]{suffix}.values hold {rows.shape[1]} nodes, not {grid.size}")
-    return rows, grid
+    if rows.shape[1] != order ** 2:  # before the grid, whose rule costs a dense eigensolve
+        raise ParseError(f"{where}[*]{suffix}.values hold {rows.shape[1]} nodes, not {order ** 2}")
+    return rows, QuadratureGrid(patch, order)
 
 
 def load_json(path):

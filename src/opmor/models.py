@@ -75,12 +75,13 @@ class PoleFactorModel:
 
     def _init_poles(self, con_grid, obs_grid, poles, pole_tol=DEFAULT_POLE_TOL):
         """The fields every pole-factor model sets up: the two grids, the
-        read-only poles and the pole-proximity tolerance."""
+        read-only poles, their largest real part and the pole tolerance."""
         self.con_grid = con_grid
         self.obs_grid = obs_grid
         self.poles = np.asarray(poles, dtype=np.complex128).reshape(-1)
         self.poles.setflags(write=False)
         self.pole_tol = float(pole_tol)
+        self._max_re = float(np.max(self.poles.real, initial=-np.inf))
 
     # weight-folded pairing rows, read-only: <f, u_k> = _in_pair[k] @ f for node values f
     @functools.cached_property
@@ -101,6 +102,9 @@ class PoleFactorModel:
 
     def _check_point(self, s):
         s = complex(s)
+        # |s - lam_k| >= Re s - Re lam_k; the factor 2 covers the rounding of both sides
+        if s.real - self._max_re > 2 * self.pole_tol:
+            return s
         dist = np.abs(s - self.poles)
         k = int(np.argmin(dist))
         if dist[k] < self.pole_tol:

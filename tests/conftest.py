@@ -2,10 +2,14 @@
 
 The acceptance suite registers one line per criterion through the
 ``acceptance_log`` fixture; this hook echoes them after the run so a plain
-``pytest`` invocation always shows the per-criterion verdicts.
+``pytest`` invocation always shows the per-criterion verdicts. The
+``leggauss_calls`` fixture counts the Gauss-Legendre rules that grids build.
 """
 
+import numpy as np
 import pytest
+
+from opmor import funcspace
 
 
 def pytest_configure(config):
@@ -29,3 +33,14 @@ def acceptance_log(request):
         assert ok, line
 
     return record
+
+
+@pytest.fixture
+def leggauss_calls(monkeypatch):
+    """The orders numpy's leggauss is called with, from an empty rule cache
+    on; the cache is emptied again afterwards."""
+    calls, build = [], np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or build(n))
+    funcspace._gauss_rule.cache_clear()
+    yield calls
+    funcspace._gauss_rule.cache_clear()

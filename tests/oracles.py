@@ -4,8 +4,10 @@
 recoverable at order one (criterion 8); ``random_pole_factor_model`` draws
 the degree-r systems that the data-driven realization recovers exactly.
 ``projector_check`` tests the skew projector of an explicit Petrov-Galerkin
-basis pair numerically (criterion 4). None is on any command's path, so
-they live beside their callers.
+basis pair numerically (criterion 4). ``full_model_h2_sq`` is the heat
+model's closed H2 series with a fresh array per row, the form its workspace
+loop must equal bit for bit. None is on any command's path, so they live
+beside their callers.
 """
 
 from dataclasses import dataclass
@@ -50,6 +52,15 @@ def random_pole_factor_model(rng, r, u_grid, y_grid) -> PoleFactorModel:
 
     return PoleFactorModel(u_grid, y_grid, np.concatenate((lam, np.conj(lam))),
                            rows(u_grid), rows(y_grid))
+
+
+def full_model_h2_sq(model: FullModel) -> float:
+    """FullModel.h2_sq as the plain sum over rows i of
+    Hx[i] @ (1/-(lam_im + lam_n'm') as an (n', m m') array) @ Hy."""
+    n = model.n_max
+    lam = model.poles.real.reshape(n, n)
+    return float(sum(model._hx[i] @ (-1.0 / (lam[i][:, None] + lam[:, None, :])).reshape(n, -1)
+                     @ model._hy.ravel() for i in range(n)))
 
 
 @dataclass

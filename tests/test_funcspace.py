@@ -1,9 +1,17 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opmor import funcspace, rom, samples
+from opmor.cli import main
+from opmor.config import build_model
 from opmor.funcspace import Patch, QuadratureGrid, inner_product, restrict_mode, row_norms
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def monomial_integral(lo, hi, k):
@@ -67,6 +75,55 @@ class TestQuadratureGrid:
         grid = QuadratureGrid(Patch(0.6, 0.8, 0.6, 0.8), 12)
         assert np.all(grid.nodes >= 0.6) and np.all(grid.nodes <= 0.8)
         assert np.all(grid.weights > 0)
+
+
+class TestGaussRule:
+    """One read-only 1-D rule per order per process, shared by every grid."""
+
+    def test_grids_of_one_order_share_the_rule(self, leggauss_calls):
+        QuadratureGrid(Patch(0.1, 0.3, 0.1, 0.3), 9)
+        QuadratureGrid(Patch(0.45, 0.9, 0.6, 0.75), 9)
+        assert leggauss_calls == [9]
+        info = funcspace._gauss_rule.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    @pytest.mark.parametrize("order", [1, 2, 28, 64])
+    def test_grid_is_the_leggauss_formula_bitwise(self, order):
+        grid = QuadratureGrid(Patch(0.2, 0.7, 0.4, 0.9), order)
+        t, w = np.polynomial.legendre.leggauss(order)
+
+        def segment(lo, hi):
+            half = 0.5 * (hi - lo)
+            return half * t + 0.5 * (hi + lo), half * w
+
+        (x, wx), (y, wy) = segment(0.2, 0.7), segment(0.4, 0.9)
+        want = [x, y, wx, wy, np.repeat(x, order), np.tile(y, order), np.outer(wx, wy).ravel()]
+        got = [*grid.axis_nodes, *grid.axis_weights, grid.nodes[:, 0], grid.nodes[:, 1],
+               grid.weights]
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    def test_cached_rule_is_read_only(self):
+        for arr in funcspace._gauss_rule(5):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_model_and_cli_files_build_one_rule(self, tmp_path, monkeypatch, leggauss_calls):
+        # the README config (both patches at order 28) and the data.json and
+        # rom.json a cli_n12 pass writes from it, read in one process
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        monkeypatch.chdir(tmp_path)
+        workloads.write_cli_inputs(1, tmp_path)
+        for _, argv in workloads.cli_commands("")[:2]:
+            assert main(argv) == 0
+        funcspace._gauss_rule.cache_clear()
+        leggauss_calls.clear()
+        build_model(workloads.CLI_MODEL)
+        samples.load("data.json")
+        rom.load("rom.json")
+        assert leggauss_calls == [28]
 
 
 @pytest.fixture

@@ -12,6 +12,9 @@ from opmor.heat2d import FullModel, default_quad_order, eigenvalue
 from opmor.h2 import h2_error, h2_norm, hs_norm, optimality_residuals
 from opmor.models import PoleFactorModel, phi12
 from opmor.projection import build_bases, project_explicit
+from opmor.rom import pole_residue
+
+from oracles import full_model_h2_sq
 
 CON = Patch(0.1, 0.3, 0.1, 0.3)
 OBS = Patch(0.6, 0.8, 0.6, 0.8)
@@ -142,6 +145,20 @@ class TestApplyTf:
             model.apply_tf(eigenvalue(1, 1) + 1e-9, p)
         # just outside the default tolerance: allowed
         model.apply_tf(eigenvalue(1, 1) + 1e-7, p)
+
+    def test_point_just_right_of_the_rightmost_pole_is_checked(self):
+        # inside 2 pole_tol of max Re lam the early exit must not fire
+        model = make_model(3)
+        p = ones_row(model.con_grid)
+        with pytest.raises(PoleProximityError) as ei:
+            model.apply_tf(eigenvalue(1, 1) + 0.5 * model.pole_tol, p)
+        assert ei.value.mode == (1, 1)
+        rom, _ = irka.run(make_model(6), irka.IrkaConfig(r=2))
+        form = pole_residue(rom)
+        pole = form.poles[np.argmax(form.poles.real)]
+        with pytest.raises(PoleProximityError) as ei:
+            form.apply_tf(pole + 0.5 * form.pole_tol, ones_row(form.con_grid))
+        assert ei.value.pole == pole
 
     def test_truncation_tail_bound(self):
         # for the constant direction the mode coefficients are bounded by
@@ -447,6 +464,11 @@ class TestSeparablePath:
             want = dense.h2_sq if s is None else dense.hs_sq(s)
             magnitude = np.sum(np.abs(series_terms(hx, hy, lam, s)))
             assert abs(got - want) <= 2 * n_terms * EPS * magnitude, s
+
+    @pytest.mark.parametrize("n_max", [1, 2, 12, 30])
+    def test_h2_sq_workspace_is_the_series_bitwise(self, n_max):
+        model = make_model(n_max)
+        assert model.h2_sq.hex() == full_model_h2_sq(model).hex()
 
     def test_norms_match_extended_precision(self, separable_pair):
         # the series again, in long double over the same 1-D Grams, so only the

@@ -105,6 +105,17 @@ def test_family_round_trip_is_bitwise():
     assert got.tobytes() == rows.tobytes()
 
 
+def test_node_count_is_checked_before_the_grid_is_built(leggauss_calls):
+    # 784 values (order 28) under a declared order 29: refused before any
+    # order-29 rule, a dense eigensolve of the declared size, is built
+    objs = [{"p": f} for f in family_to_json(np.ones((2, 784)), GRID)]
+    for o in objs:
+        o["p"]["quad_order"] = 29
+    with pytest.raises(ParseError, match=re.escape("rights[*].p.values hold 784 nodes, not 841")):
+        family_from_json(objs, "rights", "p")
+    assert leggauss_calls == []
+
+
 @pytest.mark.parametrize("order", [True, 1.0, 0])
 def test_quad_order_must_be_a_positive_integer(order):
     objs = family_to_json(np.ones((2, GRID.size)), GRID)
