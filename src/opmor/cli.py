@@ -100,10 +100,10 @@ def cmd_sample(args) -> int:
         raise ParseError(f"sample block is missing {e}") from e
     sigmas = [parse_point(s, f"sample.sigmas[{j}]") for j, s in enumerate(sigmas)]
     rhos = [parse_point(s, f"sample.rhos[{j}]") for j, s in enumerate(rhos)]
-    close = block.get("conjugate_close", False)
-    if not isinstance(close, bool):
-        raise ParseError(f"sample.conjugate_close must be true or false, got {close!r}")
-    dataset = samples.collect(model, sigmas, right_dirs, rhos, left_dirs, conjugate_close=close)
+    if block.get("conjugate_close", False) is not False:
+        raise ParseError("sample.conjugate_close is not supported: list both members of "
+                         "each conjugate pair in sigmas and rhos and their directions")
+    dataset = samples.collect(model, sigmas, right_dirs, rhos, left_dirs)
     samples.save(dataset, args.out)
     log.info("wrote %d+%d samples to %s", dataset.sigmas.size, dataset.rhos.size, args.out)
     print(f"sampled r={dataset.r} tangential dataset -> {args.out}")

@@ -6,11 +6,11 @@ A config file always carries a "model" block
                "obs_patch": {"x": [0.6, 0.8], "y": [0.6, 0.8]},
                "n_modes": 12, "quad_order": 28}}
 
-plus optional task blocks: "sample" (sigmas, rhos, right_dirs, left_dirs,
-conjugate_close), "validate" (tol) and "irka" (order, init_points,
-init_right_dirs, init_left_dirs, seed, max_iter, point_tol). Other keys are
-ignored. Reports embed the sha256 of the raw config bytes so a result can
-always be traced to the exact file that produced it.
+plus optional task blocks: "sample" (sigmas, rhos, right_dirs, left_dirs),
+"validate" (tol) and "irka" (order, init_points, init_right_dirs,
+init_left_dirs, seed, max_iter, point_tol). Other keys are ignored, but a
+sample.conjugate_close other than false is refused. Reports embed the
+sha256 of the raw config bytes, tracing a result to the file it came from.
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ with tangential directions as a models.PoleFactorModel, computed once per
 model; the IRKA update, the closed-form H2 quantities (stability included)
 and the time stepper, PoleFactorModel.simulate, run on that form. Both
 interpolatory constructions build their model through interpolant, which
-realizes conjugate-closed data in real form. A real pencil is diagonalized
-in real arithmetic, so its poles come in bitwise-conjugate pairs; with real
-ports too, each pair's residues are set pairwise to exact conjugates, and a
-real pole's residues are real.
+realizes data conjugate-closed in point and direction (conjugate_transform)
+in real form. A real pencil is diagonalized in real arithmetic, so its poles
+come in bitwise-conjugate pairs; with real ports too, each pair's residues
+are set pairwise to exact conjugates, and a real pole's residues are real.
 """
 
 from __future__ import annotations
@@ -31,13 +31,15 @@ from .errors import (
     SemiSimplicityError,
     SingularSolveError,
 )
+from .funcspace import row_norms
 from .jsonio import (complex_to_pair, dump_json, family_from_json, family_to_json, integer,
                      load_json, pair_to_complex)
 from .models import PoleFactorModel
-from .samples import conjugate_transform
 
 # relative eigenvalue separation below which a pencil is treated as defective
 POLE_SEPARATION_RTOL = 1e-8
+
+CONJUGATE_RTOL = 1e-12  # relative match of a conjugate partner's point and direction
 
 # largest cond(E) a reduced model accepts; nothing is regularized silently
 COND_LIMIT = 1e12
@@ -160,12 +162,39 @@ class ReducedModel:
         return f"ReducedModel(r={self.r}, cond_E={self.e_cond:.2e})"
 
 
+def conjugate_transform(points, rows, grid):
+    """Unitary T mapping each pair (k, l) of samples with conjugate points and
+    directions (rows on ``grid``) to (f_k + f_l)/sqrt(2), i(f_l - f_k)/sqrt(2),
+    and a self-paired sample to itself; None if a sample has no partner.
+    For a real model, T^T times a sampled family is real."""
+    points = np.asarray(points, dtype=np.complex128)
+    r = points.size
+    # entry [k, l] asks whether sample l is the conjugate partner of sample k
+    near = (np.abs(points[None, :] - np.conj(points)[:, None])
+            < CONJUGATE_RTOL * np.maximum(1.0, np.abs(points))[:, None])
+    k, l = np.nonzero(near)
+    gaps = row_norms(rows[l] - np.conj(rows[k]), grid)
+    match = np.zeros((r, r), dtype=bool)
+    match[k, l] = gaps <= CONJUGATE_RTOL * np.maximum(1.0, row_norms(rows, grid))[k]
+    partner = np.argmax(match, axis=1)
+    if not np.all(match[np.arange(r), partner]) or np.any(partner[partner] != np.arange(r)):
+        return None
+    T = np.zeros((r, r), dtype=np.complex128)
+    for k, l in enumerate(partner):
+        if k == l:
+            T[k, k] = 1.0
+        elif k < l:
+            T[[k, l], k] = 1.0 / np.sqrt(2.0)
+            T[[k, l], l] = np.array([-1j, 1j]) / np.sqrt(2.0)
+    return T
+
+
 def interpolant(E, A, B, C, u_grid, y_grid, data=None) -> ReducedModel:
     """The ReducedModel (E, A, B, C) with tangential data ``data``. Data
-    conjugate-closed on both sides (samples.conjugate_transform gives TL for
-    the left, TR for the right) yield the real parts of the equivalent
-    realization (TL^H E TR, TL^H A TR, TL^T B, TR^T C), real up to round-off;
-    loewner.assemble and projection.project_explicit both end here."""
+    conjugate-closed on both sides in point and direction (conjugate_transform
+    gives TL for the left, TR for the right) yield the real parts of the
+    equivalent realization (TL^H E TR, TL^H A TR, TL^T B, TR^T C), real up to
+    round-off; loewner.assemble and projection.project_explicit end here."""
     if data is not None:
         sigmas, P, rhos, Q = data
         TL = conjugate_transform(rhos, Q, y_grid)
@@ -249,6 +278,8 @@ def load(path) -> ReducedModel:
         C, y_grid = family_from_json(obj["c_cols"], "c_cols")
         declared_r = integer(obj["r"], f"{path}: r")
         provenance = obj.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ParseError(f"{path}: provenance must be an object")
         if "sigmas" in provenance:
             sigmas, rhos = (pair_to_complex(provenance.pop(k), f"provenance.{k}", 1)
                             for k in ("sigmas", "rhos"))

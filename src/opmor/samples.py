@@ -4,7 +4,8 @@ A dataset of order r holds r right samples (sigma_j, p_j, G(sigma_j)[p_j]),
 r left samples (rho_i, q_i, G(rho_i)^+[q_i]) and, for every pair with
 sigma_j = rho_i (within the coincidence tolerance), the Hermite scalar
 <dG/ds(sigma_j)[p_j], q_i>. Downstream assembly consumes nothing but this
-object, so anything the reduction needs must be sampled here. It checks
+object, so anything the reduction needs must be sampled here, and
+``collect`` samples exactly the points and directions it is given. It checks
 itself when built; ``load`` reads back bit-exactly what ``save`` writes.
 """
 
@@ -31,7 +32,6 @@ from .jsonio import (
 
 DEFAULT_COINCIDENCE_TOL = 1e-10
 NEAR_COINCIDENCE_WARN = 1e-6
-CONJUGATE_RTOL = 1e-12  # relative match of a conjugate partner's point and direction
 
 
 def coincident_pairs(sigmas, rhos, tol):
@@ -150,64 +150,18 @@ def directions(specs, grid: QuadratureGrid, side: str) -> np.ndarray:
     return rows
 
 
-def conjugate_closure(points, rows):
-    """Append conjugates of strictly complex points (and their direction
-    rows) that lack a conjugate partner, preserving input order; returns
-    (point list, row array)."""
-    pts = [complex(s) for s in points]
-    out_p, out_d = list(pts), list(rows)
-    for s, d in zip(pts, rows):
-        if s.imag == 0:
-            continue
-        if not any(abs(t - np.conj(s)) < CONJUGATE_RTOL * max(1.0, abs(s)) for t in out_p):
-            out_p.append(np.conj(s))
-            out_d.append(np.conj(d))
-    return out_p, np.array(out_d)
-
-
-def conjugate_transform(points, rows, grid):
-    """Unitary T mapping each pair (k, l) of samples with conjugate points and
-    directions (rows on ``grid``) to (f_k + f_l)/sqrt(2), i(f_l - f_k)/sqrt(2),
-    and a self-paired sample to itself; None if a sample has no partner.
-    For a real model, T^T times a sampled family is real."""
-    points = np.asarray(points, dtype=np.complex128)
-    r = points.size
-    # entry [k, l] asks whether sample l is the conjugate partner of sample k
-    near = (np.abs(points[None, :] - np.conj(points)[:, None])
-            < CONJUGATE_RTOL * np.maximum(1.0, np.abs(points))[:, None])
-    k, l = np.nonzero(near)
-    gaps = row_norms(rows[l] - np.conj(rows[k]), grid)
-    match = np.zeros((r, r), dtype=bool)
-    match[k, l] = gaps <= CONJUGATE_RTOL * np.maximum(1.0, row_norms(rows, grid))[k]
-    partner = np.argmax(match, axis=1)
-    if not np.all(match[np.arange(r), partner]) or np.any(partner[partner] != np.arange(r)):
-        return None
-    T = np.zeros((r, r), dtype=np.complex128)
-    for k, l in enumerate(partner):
-        if k == l:
-            T[k, k] = 1.0
-        elif k < l:
-            T[[k, l], k] = 1.0 / np.sqrt(2.0)
-            T[[k, l], l] = np.array([-1j, 1j]) / np.sqrt(2.0)
-    return T
-
-
-def collect(model, sigmas, ps, rhos, qs, conjugate_close=False) -> TangentialDataset:
-    """Evaluate the full model at the requested tangential data.
+def collect(model, sigmas, ps, rhos, qs) -> TangentialDataset:
+    """Evaluate the full model at exactly the requested tangential data.
 
     Directions are anything ``directions`` accepts. Points must be off the
-    spectrum (the model's pole tolerance applies). With
-    ``conjugate_close=True``, missing conjugate partners are appended to both
-    point lists before sampling. The dataset's construction refuses data
-    with no samples or unequal right and left counts (DatasetError).
+    spectrum (the model's pole tolerance applies). The dataset's
+    construction refuses data with no samples or unequal right and left
+    counts (DatasetError).
     """
     if len(sigmas) != len(ps) or len(rhos) != len(qs):
         raise ValueError("point and direction lists must have equal length")
     P = directions(ps, model.con_grid, "right")
     Q = directions(qs, model.obs_grid, "left")
-    if conjugate_close:
-        sigmas, P = conjugate_closure(sigmas, P)
-        rhos, Q = conjugate_closure(rhos, Q)
     right_values = np.array([model.apply_tf(s, p) for s, p in zip(sigmas, P)])
     left_values = np.array([model.apply_tf_adjoint(t, q) for t, q in zip(rhos, Q)])
     hermites = {

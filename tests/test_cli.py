@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -253,13 +254,36 @@ class TestPipeline:
                    "--rom", str(bare), "--tol", "1e-8"])
         assert rc == 2
 
+    @pytest.mark.parametrize("provenance", [[1, 2], "ab", None, 5])
+    def test_provenance_must_be_an_object(self, pipeline, capsys, provenance):
+        rom = json.loads(Path(pipeline["rom"]).read_text())
+        rom["provenance"] = provenance
+        bad = pipeline["dir"] / "rom_bad.json"
+        bad.write_text(json.dumps(rom))
+        out = pipeline["dir"] / "report.json"
+        assert main(["validate", "--config", pipeline["config"], "--rom", str(bad),
+                     "--out", str(out)]) == 2
+        assert f"{bad}: provenance must be an object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_provenance_reads_as_empty(self, pipeline):
+        rom = json.loads(Path(pipeline["rom"]).read_text())
+        del rom["provenance"]
+        bare = pipeline["dir"] / "rom_bare.json"
+        bare.write_text(json.dumps(rom))
+        loaded = rom_mod.load(bare)
+        assert loaded.provenance == {} and loaded.data is None
+
 
 def test_reduce_writes_real_matrices_for_the_readme_config(tmp_path):
-    readme_model = dict(MODEL_BLOCK, n_modes=12, quad_order=28)
-    config = write_config(tmp_path / "config.json", model=readme_model)
+    # the README's one JSON block, which lists both members of each conjugate pair
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    config = tmp_path / "config.json"
+    config.write_text(block, encoding="utf-8")
     data, rom = str(tmp_path / "data.json"), tmp_path / "rom.json"
-    assert main(["sample", "--config", config, "--out", data]) == 0
-    assert main(["reduce", "--config", config, "--data", data, "--out", str(rom)]) == 0
+    assert main(["sample", "--config", str(config), "--out", data]) == 0
+    assert main(["reduce", "--config", str(config), "--data", data, "--out", str(rom)]) == 0
     obj = json.loads(rom.read_text())
     pairs = [pair for key in ("E", "A") for row in obj[key] for pair in row]
     pairs += [pair for key in ("b_rows", "c_cols") for f in obj[key] for pair in f["values"]]
@@ -410,24 +434,29 @@ class TestErrorExits:
         assert main(["irka", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
         assert "irka.point_tol must be positive and finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("close", ["false", "true", 0, 1, None])
-    def test_conjugate_close_must_be_a_boolean(self, tmp_path, capsys, close):
+    @pytest.mark.parametrize("close", [True, 1, "true", None])
+    def test_conjugate_close_is_refused(self, tmp_path, capsys, close):
         cfg = write_config(tmp_path / "c.json", sample=dict(SAMPLE_BLOCK, conjugate_close=close))
         out = tmp_path / "x.json"
         assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
-        assert "sample.conjugate_close must be true or false" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sample.conjugate_close" in err
+        assert "list both members of each conjugate pair" in err
         assert not out.exists()
 
     def test_conjugate_close_false_adds_no_partners(self, tmp_path):
-        # one complex point each side: closure would make the data order 2
+        # one complex point each side, no partner: false samples exactly the
+        # data given, byte for byte as a block without the key does
         block = {"sigmas": [[5.0, 1.0]], "rhos": [[5.0, 1.0]],
                  "right_dirs": ["mode:1,1"], "left_dirs": ["mode:1,1"]}
-        orders = []
-        for close in (False, True):
-            cfg = write_config(tmp_path / "c.json", sample=dict(block, conjugate_close=close))
-            assert main(["sample", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 0
-            orders.append(json.loads((tmp_path / "d.json").read_text())["r"])
-        assert orders == [1, 2]
+        written = []
+        for k, sample in enumerate((block, dict(block, conjugate_close=False))):
+            cfg = write_config(tmp_path / "c.json", sample=sample)
+            out = tmp_path / f"d{k}.json"
+            assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["r"] == 1
 
     @pytest.mark.parametrize("bounds", [[False, 0.3], ["0.1", 0.3], [0.1, None]])
     def test_patch_bounds_must_be_numbers(self, tmp_path, capsys, bounds):

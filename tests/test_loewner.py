@@ -9,9 +9,9 @@ from opmor.funcspace import Patch, QuadratureGrid, inner_product, row_norms
 from opmor.h2 import interpolation_residuals
 from opmor.heat2d import FullModel
 from opmor.loewner import _matrices, assemble, dataset_hash
-from opmor.rom import ReducedModel, pole_residue
+from opmor.rom import ReducedModel, conjugate_transform, pole_residue
 from opmor.projection import build_bases, project_explicit
-from opmor.samples import collect, conjugate_transform, load, save
+from opmor.samples import collect, load, save
 
 from oracles import RankOneModel
 

@@ -8,15 +8,8 @@ from opmor.errors import DatasetError, ParseError, PoleProximityError
 from opmor.funcspace import Patch, QuadratureGrid, inner_product, row_norms
 from opmor.heat2d import FullModel, eigenvalue
 from opmor.loewner import assemble
-from opmor.samples import (
-    collect,
-    conjugate_closure,
-    conjugate_transform,
-    directions,
-    load,
-    make_direction,
-    save,
-)
+from opmor.rom import conjugate_transform
+from opmor.samples import collect, directions, load, make_direction, save
 
 
 @pytest.fixture(scope="module")
@@ -126,49 +119,6 @@ def paired(ds):
             and conjugate_transform(ds.rhos, ds.Q, ds.y_grid) is not None)
 
 
-class TestConjugateClosure:
-    def test_closure_appends_conjugates(self, model):
-        pts = [1.0, 2.0 + 1.0j]
-        rows = directions(["random:1", "random:1"], model.con_grid, "right")
-        out_p, out_d = conjugate_closure(pts, rows)
-        assert out_p == [1.0, 2.0 + 1.0j, 2.0 - 1.0j]
-        assert out_d.shape == (3, model.con_grid.size)
-        np.testing.assert_array_equal(out_d[:2], rows)
-        np.testing.assert_array_equal(out_d[2], np.conj(out_d[1]))
-
-    def test_closed_set_unchanged(self, model):
-        pts = [2.0 + 1.0j, 2.0 - 1.0j]
-        d = directions(["random:2"], model.con_grid, "right")[0]
-        out_p, out_d = conjugate_closure(pts, np.array([d, np.conj(d)]))
-        assert out_p == pts
-        np.testing.assert_array_equal(out_d, [d, np.conj(d)])
-
-    def test_collect_with_closure_is_structurally_closed(self, model):
-        ds = collect(
-            model, [1.0, 3.0 + 2.0j], ["const", "random:5"], [2.0, 3.0 + 2.0j],
-            ["const", "random:6"], conjugate_close=True,
-        )
-        assert ds.r == 3
-        assert paired(ds)
-
-    def test_partner_within_conjugate_rtol_not_duplicated(self, model):
-        # 5e-13 off the exact conjugate is a partner under CONJUGATE_RTOL, the
-        # test conjugate_transform applies, so closure appends nothing
-        ds = collect(
-            model, [1.0, 5.0 + 1.0j, 5.0 - 1.0j + 5e-13j], ["mode:1,1", "mode:2,1", "mode:2,1"],
-            [1.5, 2.5, 3.5], ["mode:1,1", "mode:1,2", "const"], conjugate_close=True,
-        )
-        assert ds.r == 3
-        assert paired(ds)
-        assert not np.any(assemble(ds).E.imag)
-
-    def test_open_set_detected(self, model):
-        ds = collect(model, [3.0 + 2.0j], ["random:5"], [3.0 + 2.0j], ["random:6"])
-        assert not paired(ds)
-        real = collect(model, [1.0], ["const"], [2.0], ["const"])
-        assert paired(real)
-
-
 class TestConjugateTransform:
     POINTS = [1.0, 2.0 + 1.0j, 4.0, 2.0 - 1.0j]
 
@@ -195,6 +145,23 @@ class TestConjugateTransform:
         P = self.dirs(model)
         P[3] = P[1]
         assert conjugate_transform(self.POINTS, P, model.con_grid) is None
+
+    def test_open_set_detected(self, model):
+        ds = collect(model, [3.0 + 2.0j], ["random:5"], [3.0 + 2.0j], ["random:6"])
+        assert not paired(ds)
+        real = collect(model, [1.0], ["const"], [2.0], ["const"])
+        assert paired(real)
+
+    def test_partner_within_conjugate_rtol_is_paired(self, model):
+        # 5e-13 off the exact conjugate is a partner under CONJUGATE_RTOL, so
+        # the collected data pair and the assembled pencil is real
+        ds = collect(
+            model, [1.0, 5.0 + 1.0j, 5.0 - 1.0j + 5e-13j], ["mode:1,1", "mode:2,1", "mode:2,1"],
+            [1.5, 2.5, 3.5], ["mode:1,1", "mode:1,2", "const"],
+        )
+        assert ds.r == 3
+        assert paired(ds)
+        assert not np.any(assemble(ds).E.imag)
 
     # (points, rows as indices into [mode:1,1, const, d, e, conj d, conj e],
     # each sample's partner); in the duplicate case sample 0's first conjugate
